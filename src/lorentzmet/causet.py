@@ -25,6 +25,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 __all__ = [
+    "BoundaryError",
     "Causet",
     "ValidationReport",
     "Violation",
@@ -60,22 +61,23 @@ def _as_matrix(d) -> np.ndarray:
 
 def _detect_boundary(d: np.ndarray) -> int | None:
     """Index of the unique point with an all-zero row and column, if any."""
-    if d.dtype == object:
-        zero_row = [all(v == 0 for v in row) for row in d]
-        zero_col = [all(v == 0 for v in col) for col in d.T]
-        idx = [i for i in range(len(d)) if zero_row[i] and zero_col[i]]
-    else:
-        zero = (np.abs(d).max(axis=1) == 0) & (np.abs(d).max(axis=0) == 0)
-        idx = list(np.flatnonzero(zero))
+    zero = d == 0
+    idx = np.flatnonzero(zero.all(axis=1) & zero.all(axis=0))
     return int(idx[0]) if len(idx) == 1 else None
+
+
+class BoundaryError(ValueError):
+    """A causet names as its boundary a point that has a nonzero distance."""
 
 
 @dataclass(frozen=True, eq=False)
 class Causet:
     """A finite distance matrix with labels and an optional boundary point.
 
-    The constructor performs only structural checks; axiom violations are
-    reported by `validate`, never raised here.
+    The constructor performs only structural checks, among them that a
+    declared boundary point has an all-zero row and column (else
+    `BoundaryError`); axiom violations are reported by `validate`, never
+    raised here.
     """
 
     labels: tuple[str, ...]
@@ -91,8 +93,13 @@ class Causet:
             )
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
-        if self.boundary is not None and not 0 <= self.boundary < m.shape[0]:
-            raise ValueError(f"boundary index {self.boundary} out of range")
+        if self.boundary is not None:
+            b = self.boundary
+            if not 0 <= b < m.shape[0]:
+                raise ValueError(f"boundary index {b} out of range")
+            if (m[b] != 0).any() or (m[:, b] != 0).any():
+                raise BoundaryError(
+                    f"boundary point {b} has a nonzero row or column")
         if m.dtype != object:
             m.flags.writeable = False
         object.__setattr__(self, "d", m)
@@ -151,7 +158,7 @@ class Causet:
             for i, row in enumerate(rows):
                 if len(row) != n:
                     raise ValueError(f"field 'd' row {i} has length {len(row)}")
-            m = np.asarray(rows, dtype=float)
+            m = np.asarray(rows, dtype=float).reshape(n, n)
         labels = obj.get("labels")
         if labels is None:
             labels = [f"p{i}" for i in range(n)]
@@ -259,14 +266,18 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
         for i in np.flatnonzero(np.diag(d) > tol):
             out.append(Violation("diagonal", (int(i),), float(d[i, i])))
 
+        # Only the light cones of j can witness a defect at j: the past
+        # ii = {i : d(i,j) > 0} and the future kk = {k : d(j,k) > 0}.
         # NaN compares False everywhere below, matching naive float checks.
         for j in range(n):
-            left = np.where(d[:, j] > 0, d[:, j], -np.inf)
-            right = np.where(d[j, :] > 0, d[j, :], -np.inf)
-            sums = left[:, None] + right[None, :]
-            for i, k in np.argwhere(d < sums - tol):
-                out.append(Violation("reverse-triangle", (int(i), j, int(k)),
-                                     float(sums[i, k] - d[i, k])))
+            ii = np.flatnonzero(d[:, j] > 0)
+            kk = np.flatnonzero(d[j, :] > 0)
+            sums = d[ii, j][:, None] + d[j, kk][None, :]
+            block = d[np.ix_(ii, kk)]
+            for p, q in np.argwhere(block < sums - tol):
+                out.append(Violation("reverse-triangle",
+                                     (int(ii[p]), j, int(kk[q])),
+                                     float(sums[p, q] - block[p, q])))
 
         if np.isnan(d).any():
             # cdist's chebyshev skips NaN coordinates; a NaN must instead

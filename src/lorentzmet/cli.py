@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .causet import Causet, validate
+from .causet import BoundaryError, Causet, validate
 from .causal import time_function
 from .curvature import check_curvature_bound
 from .diamond import DiamondSpace, SampleSpec, sample_causet
@@ -41,6 +41,8 @@ def _read_causet(path: str) -> Causet:
     obj = _read_json(path)
     try:
         return Causet.from_json(obj)
+    except BoundaryError:
+        raise  # well-formed, but the space has no such boundary: exit 1
     except (KeyError, ValueError, TypeError) as e:
         raise UsageError(f"bad causet in '{path}': {e}") from e
 
@@ -73,6 +75,8 @@ def cmd_validate(args) -> None:
 
 
 def cmd_gamma(args) -> None:
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     c = _read_causet(args.causet)
     _emit_json(gamma(c, threads=args.threads).to_json(), args.out)
 

@@ -240,6 +240,25 @@ def _side_candidates(d: np.ndarray, tri: TimelikeTriangle, sp: SidePoint,
     return np.flatnonzero(from_o & from_e)
 
 
+_BATCH = 8192
+
+
+def _qualifying(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                min_sides: tuple[float, float, float]) -> np.ndarray:
+    """Mask of side triples that pass the filter O of check_curvature_bound.
+
+    NaN sides fail `a + b < c`, so a NaN anywhere rejects the triple.
+    """
+    a_min, b_min, gap_min = min_sides
+    return ((a > 0) & (b > 0) & (a >= a_min) & (b >= b_min)
+            & (c - a - b > gap_min) & (a + b < c))
+
+
+def _triangle(d: np.ndarray, x: int, y: int, z: int) -> TimelikeTriangle:
+    return TimelikeTriangle(x, y, z, float(d[x, y]), float(d[y, z]),
+                            float(d[x, z]))
+
+
 def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
                           tol: float = 0.05,
                           side_params: Sequence[SideParams] | None = None,
@@ -255,6 +274,13 @@ def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
     with no candidates the check is vacuous.  A lower curvature bound asks
     for some pair with d(p, q) <= model + tol, an upper bound for some
     pair with d(p, q) >= model - tol.
+
+    Hosts of more than 64 points with a `max_triangles` cap are sampled by
+    seeded rejection over index triples, within a budget of
+    max(200000, 400 * max_triangles) draws.  Draws are made in batches
+    of 8192 triples and tested together; numpy's bounded integers give a
+    batch the same values as the same number of single-triple draws, so
+    the triangles found are those of a one-triple-per-draw sampler.
     """
     if k != 0.0:
         raise ValueError("only the flat model k = 0 is implemented")
@@ -263,25 +289,14 @@ def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
     params = tuple(side_params) if side_params is not None else _DEFAULT_PARAMS
     d = host.as_float()
     n = host.n
-    a_min, b_min, gap_min = min_sides
-
-    def qualifies(x: int, y: int, z: int) -> TimelikeTriangle | None:
-        a, b, c = d[x, y], d[y, z], d[x, z]
-        if a <= 0 or b <= 0 or a < a_min or b < b_min:
-            return None
-        if c - a - b <= gap_min or not a + b < c:
-            return None
-        return TimelikeTriangle(x, y, z, float(a), float(b), float(c))
 
     triangles: list[TimelikeTriangle] = []
     if max_triangles is None or n <= 64:
-        pos = d > 0
+        # lexicographic (x, y, z) order, one (y, z) block per x
         for x in range(n):
-            for y in np.flatnonzero(pos[x]):
-                for z in np.flatnonzero(pos[y] & pos[x]):
-                    tri = qualifies(x, int(y), int(z))
-                    if tri is not None:
-                        triangles.append(tri)
+            ok = _qualifying(d[x, :, None], d, d[x, None, :], min_sides)
+            for y, z in zip(*np.nonzero(ok)):
+                triangles.append(_triangle(d, x, int(y), int(z)))
         if max_triangles is not None and len(triangles) > max_triangles:
             rng = np.random.default_rng(seed)
             keep = rng.choice(len(triangles), size=max_triangles, replace=False)
@@ -294,14 +309,19 @@ def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
         attempts = 0
         budget = max(200_000, 400 * max_triangles)
         while len(triangles) < max_triangles and attempts < budget:
-            attempts += 1
-            x, y, z = (int(v) for v in rng.integers(0, n, size=3))
-            if (x, y, z) in seen:
-                continue
-            seen.add((x, y, z))
-            tri = qualifies(x, y, z)
-            if tri is not None:
-                triangles.append(tri)
+            m = min(_BATCH, budget - attempts)
+            attempts += m
+            draws = rng.integers(0, n, size=(m, 3))
+            x, y, z = draws.T
+            ok = _qualifying(d[x, y], d[y, z], d[x, z], min_sides)
+            for row in np.flatnonzero(ok):
+                key = tuple(int(v) for v in draws[row])
+                if key in seen:
+                    continue
+                seen.add(key)
+                triangles.append(_triangle(d, *key))
+                if len(triangles) == max_triangles:
+                    break
 
     records = []
     for tri in triangles:

@@ -116,6 +116,58 @@ def corrupt(rng, d: np.ndarray) -> np.ndarray:
     return d
 
 
+# -- curvature triangle oracle -------------------------------------------
+
+def oracle_triangles(host: Causet, min_sides=(0.0, 0.0, 0.0),
+                     max_triangles=200, seed=0) -> list:
+    """Vertices of the triangles check_curvature_bound should pick.
+
+    The triple loop for small hosts and the one-draw-per-iteration
+    rejection sampler for large ones, written with per-triple scalar
+    tests.
+    """
+    d = host.as_float()
+    n = host.n
+    a_min, b_min, gap_min = min_sides
+
+    def qualifies(x, y, z):
+        a, b, c = d[x, y], d[y, z], d[x, z]
+        if a <= 0 or b <= 0 or a < a_min or b < b_min:
+            return None
+        if c - a - b <= gap_min or not a + b < c:
+            return None
+        return (x, y, z)
+
+    triangles = []
+    if max_triangles is None or n <= 64:
+        pos = d > 0
+        for x in range(n):
+            for y in np.flatnonzero(pos[x]):
+                for z in np.flatnonzero(pos[y] & pos[x]):
+                    tri = qualifies(x, int(y), int(z))
+                    if tri is not None:
+                        triangles.append(tri)
+        if max_triangles is not None and len(triangles) > max_triangles:
+            rng = np.random.default_rng(seed)
+            keep = rng.choice(len(triangles), size=max_triangles, replace=False)
+            triangles = [triangles[i] for i in sorted(keep)]
+    else:
+        rng = np.random.default_rng(seed)
+        seen = set()
+        attempts = 0
+        budget = max(200_000, 400 * max_triangles)
+        while len(triangles) < max_triangles and attempts < budget:
+            attempts += 1
+            x, y, z = (int(v) for v in rng.integers(0, n, size=3))
+            if (x, y, z) in seen:
+                continue
+            seen.add((x, y, z))
+            tri = qualifies(x, y, z)
+            if tri is not None:
+                triangles.append(tri)
+    return triangles
+
+
 # -- Gromov-Hausdorff oracle ---------------------------------------------
 
 _MASK_CACHE: dict = {}

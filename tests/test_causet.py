@@ -21,6 +21,7 @@ from lorentzmet import (
     strip_boundary,
     validate,
 )
+from lorentzmet.causet import BoundaryError
 from helpers import corrupt, oracle_violations, random_valid_matrix
 
 
@@ -45,6 +46,13 @@ def test_constructor_structural_errors():
         Causet(("a", "b"), np.zeros((2, 2)), boundary=5)
     with pytest.raises(ValueError):
         Causet.from_matrix(np.zeros((2, 3)))
+    # a declared boundary point needs an all-zero row and column
+    with pytest.raises(BoundaryError, match="boundary point 0"):
+        Causet.from_json({"n": 2, "d": [[0, 1], [0, 0]], "boundary": 0})
+    with pytest.raises(BoundaryError, match="boundary point 1"):
+        Causet(("a", "b"), np.array(CHAIN2), boundary=1)
+    with pytest.raises(BoundaryError):
+        Causet(("a", "b"), np.array([[0.0, 0.0], [np.nan, 0.0]]), boundary=0)
 
 
 def test_matrix_is_frozen():
@@ -130,6 +138,29 @@ def test_validator_agrees_with_naive_oracle():
                 base = corrupt(rng, base)
         got = {(v.kind, v.witness) for v in validate(base).violations}
         assert got == oracle_violations(base)
+
+
+def test_reverse_triangle_witnesses_match_oracle():
+    # sparse valid spaces and dense random matrices, each with a NaN, a
+    # +inf and a negative entry planted
+    rng = np.random.default_rng(11)
+    for trial in range(30):
+        n = int(rng.integers(2, 26))
+        if trial % 2:
+            d = random_valid_matrix(rng, n).as_float().copy()
+        else:
+            d = np.where(rng.random((n, n)) < 0.5,
+                         rng.uniform(0.1, 1.0, (n, n)), 0.0)
+        for value in (np.nan, np.inf, -0.5):
+            i, j = rng.integers(0, n, size=2)
+            d[i, j] = value
+        got = [v for v in validate(d).violations if v.kind == "reverse-triangle"]
+        want = sorted(w for kind, w in oracle_violations(d)
+                      if kind == "reverse-triangle")
+        assert [v.witness for v in got] == want
+        for v in got:
+            i, j, k = v.witness
+            assert v.magnitude == float(d[i, j] + d[j, k] - d[i, k])
 
 
 def test_reverse_triangle_slack():
@@ -238,6 +269,21 @@ def test_json_round_trip_rational():
     back = Causet.from_json(json.loads(blob))
     assert back.is_rational
     assert back.d[0, 1] == Fraction(22, 7)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_json_round_trip_small(n, rational):
+    d = np.zeros((n, n))
+    if n == 2:
+        d[0, 1] = 0.75
+    if rational:
+        d = np.array([Fraction(v) for v in d.flat], dtype=object).reshape(n, n)
+    c = Causet.from_matrix(d)
+    back = Causet.from_json(json.loads(json.dumps(c.to_json())))
+    assert (back.n, back.is_rational, back.labels, back.boundary) == \
+        (n, rational, c.labels, c.boundary)
+    assert np.array_equal(back.d, c.d)
 
 
 def test_from_json_errors_name_the_field():

@@ -82,6 +82,13 @@ def test_bad_causet_payload_is_usage_error(tmp_path, capsys):
     assert "bad causet" in capsys.readouterr().err
 
 
+def test_false_boundary_is_domain_error(tmp_path, capsys):
+    p = tmp_path / "b.json"
+    p.write_text(json.dumps({"n": 2, "d": [[0, 1], [0, 0]], "boundary": 0}))
+    assert main(["validate", str(p)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -112,6 +119,13 @@ def test_gamma_thread_env_default(tmp_path, capsys, monkeypatch):
     assert blob["d"] == [[0.0, 1.0], [1.0, 0.0]]
     blob2 = run_json(capsys, ["gamma", path, "--threads", "2"])
     assert blob2 == blob
+
+
+def test_gamma_rejects_nonpositive_threads(tmp_path, capsys):
+    path = write_causet(tmp_path, CHAIN, "c.json")
+    for threads in ("-3", "0"):
+        assert main(["gamma", path, "--threads", threads]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_tau_values(tmp_path, capsys):

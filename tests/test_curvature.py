@@ -28,6 +28,7 @@ from lorentzmet.curvature import (
     realizable,
 )
 from lorentzmet.diamond import DiamondSpace, SampleSpec, sample_causet
+from helpers import oracle_triangles
 
 
 # x << p << y << q << z with d(p, q) too large for flat comparison
@@ -149,6 +150,15 @@ def test_min_sides_filter():
                                    min_sides=(0.0, 0.0, 0.6),
                                    max_triangles=None)
     assert report.records == ()  # every strictness gap here is 0.5
+    # the side minima are inclusive, the gap minimum is strict
+    report = check_curvature_bound(VIOLATION_HOST, side_params=MID_MID,
+                                   min_sides=(1.0, 1.0, 0.0),
+                                   max_triangles=None)
+    assert [r.vertices for r in report.records] == [(0, 2, 4)]
+    report = check_curvature_bound(VIOLATION_HOST, side_params=MID_MID,
+                                   min_sides=(0.0, 0.0, 0.5),
+                                   max_triangles=None)
+    assert report.records == ()
 
 
 def test_flat_sample_has_no_violations():
@@ -168,6 +178,40 @@ def test_triangle_subsample_is_deterministic():
     r2 = check_curvature_bound(host, max_triangles=10, seed=4)
     assert len(r1.records) == 10
     assert [t.vertices for t in r1.records] == [t.vertices for t in r2.records]
+
+
+@pytest.mark.parametrize("min_sides", [(0.0, 0.0, 0.0), (0.2, 0.2, 0.05)])
+@pytest.mark.parametrize("n", [40, 65, 100, 300])
+def test_triangles_match_per_draw_oracle(n, min_sides):
+    host = sample_causet(DiamondSpace(), SampleSpec(count=n, seed=n))
+    # an uncapped run checks every triangle, so only on the smaller hosts
+    for max_triangles in (30, None) if n <= 65 else (30,):
+        for seed in (0, 3, 7):
+            report = check_curvature_bound(host, min_sides=min_sides,
+                                           max_triangles=max_triangles,
+                                           seed=seed)
+            want = oracle_triangles(host, min_sides, max_triangles, seed)
+            assert [r.vertices for r in report.records] == want
+            assert len(want) > 0
+            if max_triangles is None:
+                break  # the seed plays no part without a cap
+
+
+def test_triangle_budget_exhausted_matches_oracle():
+    host = sample_causet(DiamondSpace(), SampleSpec(count=70, seed=70))
+    min_sides = (0.5, 0.5, 0.3)
+    report = check_curvature_bound(host, min_sides=min_sides)
+    assert report.records == ()
+    assert oracle_triangles(host, min_sides) == []
+    # a shortfall: the 200000-draw budget ends with fewer than 400 found,
+    # and a draw past the budget would add triangles
+    host = sample_causet(DiamondSpace(), SampleSpec(count=300, seed=300))
+    min_sides = (0.2, 0.2, 0.05)
+    report = check_curvature_bound(host, min_sides=min_sides,
+                                   max_triangles=400)
+    want = oracle_triangles(host, min_sides, max_triangles=400)
+    assert 0 < len(want) < 400
+    assert [r.vertices for r in report.records] == want
 
 
 def test_report_json_shape():
