@@ -100,8 +100,7 @@ class Causet:
             if (m[b] != 0).any() or (m[:, b] != 0).any():
                 raise BoundaryError(
                     f"boundary point {b} has a nonzero row or column")
-        if m.dtype != object:
-            m.flags.writeable = False
+        m.flags.writeable = False
         object.__setattr__(self, "d", m)
 
     @property
@@ -113,9 +112,7 @@ class Causet:
         return self.d.dtype == object
 
     def as_float(self) -> np.ndarray:
-        if self.is_rational:
-            return np.array([[float(v) for v in row] for row in self.d])
-        return self.d
+        return self.d.astype(float) if self.is_rational else self.d
 
     @classmethod
     def from_matrix(cls, d, labels: Sequence[str] | None = None,
@@ -147,17 +144,13 @@ class Causet:
         rows = obj["d"]
         if not isinstance(rows, list) or len(rows) != n:
             raise ValueError(f"field 'd' must be a list of {n} rows")
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise ValueError(f"field 'd' row {i} has length {len(row)}")
         if obj.get("rational"):
-            m = np.empty((n, n), dtype=object)
-            for i, row in enumerate(rows):
-                if len(row) != n:
-                    raise ValueError(f"field 'd' row {i} has length {len(row)}")
-                for j, pair in enumerate(row):
-                    m[i, j] = Fraction(pair[0], pair[1])
+            m = np.array([Fraction(p[0], p[1]) for row in rows for p in row],
+                         dtype=object).reshape(n, n)
         else:
-            for i, row in enumerate(rows):
-                if len(row) != n:
-                    raise ValueError(f"field 'd' row {i} has length {len(row)}")
             m = np.asarray(rows, dtype=float).reshape(n, n)
         labels = obj.get("labels")
         if labels is None:
@@ -210,37 +203,22 @@ class ValidationReport:
                 "violations": [v.to_json() for v in self.violations]}
 
 
-def _validate_exact(d: np.ndarray) -> list[Violation]:
-    """Axiom checks in exact Fraction arithmetic (tol plays no role)."""
-    n = d.shape[0]
-    out: list[Violation] = []
-    for i in range(n):
-        for j in range(n):
-            if d[i, j] < 0:
-                out.append(Violation("negative-entry", (i, j), float(d[i, j])))
-    for i in range(n):
-        if d[i, i] > 0:
-            out.append(Violation("diagonal", (i,), float(d[i, i])))
-    for i in range(n):
-        for j in range(n):
-            if d[i, j] <= 0:
-                continue
-            for k in range(n):
-                if d[j, k] > 0 and d[i, k] < d[i, j] + d[j, k]:
-                    out.append(Violation(
-                        "reverse-triangle", (i, j, k),
-                        float(d[i, j] + d[j, k] - d[i, k])))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if all(d[i, z] == d[j, z] for z in range(n)) and \
-               all(d[z, i] == d[z, j] for z in range(n)):
-                out.append(Violation("distinguishing", (i, j), 0.0))
-    zero = [i for i in range(n)
-            if all(d[i, z] == 0 for z in range(n))
-            and all(d[z, i] == 0 for z in range(n))]
-    if len(zero) >= 2:
-        out.append(Violation("multiple-boundary", tuple(zero), 0.0))
-    return out
+def _float_image(d: np.ndarray) -> tuple[np.ndarray, float]:
+    """Float64 image f of an object-Fraction (or float) matrix, and a bound E.
+
+    Entries are correctly rounded (off by u|f| plus an underflow term, u =
+    2**-53), or +-inf past 2**1023, left by callers to exact arithmetic.
+    E = 32 u max|f| + 2**-1060 over the finite entries bounds, with room
+    to spare, the error of comparing sums and differences of three of them.
+    """
+    try:
+        f = d.astype(float)
+    except OverflowError:
+        f = np.array([float(v) if abs(v) < 2**1023 else
+                      np.inf if v > 0 else -np.inf for v in d.flat])
+        f = f.reshape(d.shape)
+    fin = np.abs(f[np.isfinite(f)])
+    return f, 32 * 2.0**-53 * fin.max(initial=0.0) + 2.0**-1060
 
 
 def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -250,17 +228,19 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
     flagged only beyond tol, rows/columns within tol count as identical,
     and |entry| <= tol counts as zero for boundary detection.  Exact
     payloads ignore tol.
+
+    Fraction payloads are exact: float64 filter, exact refinement.  The
+    float passes flag a superset of the defects, each decided exactly.
     """
     d = c.d if isinstance(c, Causet) else _as_matrix(c)
-    if d.dtype == object:
-        vio = _validate_exact(d)
-        return ValidationReport(not vio, tuple(vio))
-
+    exact = d.dtype == object
+    # Fraction payloads: a float filter widened by f's bound, exact decisions
+    f, widen = _float_image(d) if exact else (d, -tol)
+    tol = 0 if exact else tol
     n = d.shape[0]
     out: list[Violation] = []
     with np.errstate(invalid="ignore"):
-        bad = np.isnan(d) | (d < 0)
-        for i, j in np.argwhere(bad):
+        for i, j in np.argwhere(np.isnan(f) | (d < 0)):
             out.append(Violation("negative-entry", (int(i), int(j)),
                                  float(d[i, j])))
         for i in np.flatnonzero(np.diag(d) > tol):
@@ -269,33 +249,42 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
         # Only the light cones of j can witness a defect at j: the past
         # ii = {i : d(i,j) > 0} and the future kk = {k : d(j,k) > 0}.
         # NaN compares False everywhere below, matching naive float checks.
+        pos = d > 0
         for j in range(n):
-            ii = np.flatnonzero(d[:, j] > 0)
-            kk = np.flatnonzero(d[j, :] > 0)
-            sums = d[ii, j][:, None] + d[j, kk][None, :]
-            block = d[np.ix_(ii, kk)]
-            for p, q in np.argwhere(block < sums - tol):
-                out.append(Violation("reverse-triangle",
-                                     (int(ii[p]), j, int(kk[q])),
-                                     float(sums[p, q] - block[p, q])))
+            ii = np.flatnonzero(pos[:, j])
+            kk = np.flatnonzero(pos[j])
+            sums = f[ii, j][:, None] + f[j, kk][None, :]
+            block = f[np.ix_(ii, kk)]
+            hit = block < sums + widen
+            if exact:
+                hit |= ~np.isfinite(block)
+            for p, q in np.argwhere(hit):
+                i, k = int(ii[p]), int(kk[q])
+                if d[i, k] < d[i, j] + d[j, k] - tol:  # as in hit, for floats
+                    out.append(Violation("reverse-triangle", (i, j, k),
+                                         float(d[i, j] + d[j, k] - d[i, k])))
 
-        if np.isnan(d).any():
+        if np.isnan(f).any():
             # cdist's chebyshev skips NaN coordinates; a NaN must instead
             # make the pair distinguishable, like the naive |gap| <= tol
-            gaps = np.abs(d[:, None, :] - d[None, :, :])
+            gaps = np.abs(f[:, None, :] - f[None, :, :])
             rowgap = np.where(np.isnan(gaps), np.inf, gaps).max(axis=2)
-            gaps = np.abs(d.T[:, None, :] - d.T[None, :, :])
+            gaps = np.abs(f.T[:, None, :] - f.T[None, :, :])
             colgap = np.where(np.isnan(gaps), np.inf, gaps).max(axis=2)
         else:
-            rowgap = cdist(d, d, "chebyshev")
-            colgap = cdist(d.T, d.T, "chebyshev")
+            # equal Fractions have equal images, whose gaps are 0 or, from
+            # inf - inf, skipped: every exact twin is flagged
+            rowgap = cdist(f, f, "chebyshev")
+            colgap = cdist(f.T, f.T, "chebyshev")
         indist = (rowgap <= tol) & (colgap <= tol)
         for i, j in np.argwhere(np.triu(indist, 1)):
-            out.append(Violation("distinguishing", (int(i), int(j)),
-                                 float(max(rowgap[i, j], colgap[i, j]))))
+            if not exact or ((d[i] == d[j]).all()
+                             and (d[:, i] == d[:, j]).all()):
+                out.append(Violation("distinguishing", (int(i), int(j)),
+                                     float(max(rowgap[i, j], colgap[i, j]))))
 
-        zero = (np.abs(d).max(axis=1) <= tol) & (np.abs(d).max(axis=0) <= tol)
-        zi = np.flatnonzero(zero)
+        zero = np.abs(d) <= tol
+        zi = np.flatnonzero(zero.all(axis=1) & zero.all(axis=0))
     if len(zi) >= 2:
         out.append(Violation("multiple-boundary", tuple(int(i) for i in zi), 0.0))
 
@@ -306,33 +295,48 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
     return ValidationReport(not out, tuple(out))
 
 
+def _min_slack(d: np.ndarray, pos: np.ndarray) -> float | Fraction:
+    """Minimum of d(i,k) - d(i,j) - d(j,k) over pos(i,j), pos(j,k); +inf if
+    no triple applies.  Visits the past x future block of each j, so memory
+    stays O(n^2), and computes exactly only the slacks whose float value
+    (d_ik - d_ij) - d_jk is within 2E of the least one, or not finite.
+    """
+    f, err = _float_image(d) if d.dtype == object else (d, 0.0)
+    cones = [(np.flatnonzero(pos[:, j]), np.flatnonzero(pos[j]))
+             for j in range(d.shape[0])]
+    live = [j for j, (ii, kk) in enumerate(cones) if len(ii) and len(kk)]
+
+    def block(j):
+        ii, kk = cones[j]
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in a loop
+            return (f[np.ix_(ii, kk)] - f[ii, j][:, None]) - f[j, kk][None, :]
+
+    thr = min((np.min(s, where=np.isfinite(s), initial=np.inf)
+               for s in map(block, live)), default=np.inf) + 2 * err
+    best = None
+    for j in live:
+        ii, kk = cones[j]
+        s = block(j)
+        for p, q in np.argwhere((s <= thr) | ~np.isfinite(s)):
+            v = d[ii[p], kk[q]] - d[ii[p], j] - d[j, kk[q]]
+            if best is None or v < best or v != v:
+                best = v
+    return float("inf") if best is None else best
+
+
 def reverse_triangle_slack(c: Causet) -> float | Fraction:
     """Minimum of d(i,k) - d(i,j) - d(j,k) over triples with d(i,j), d(j,k) > 0.
 
     Positive slack means every reverse-triangle inequality holds strictly;
-    returns +inf when no triple applies.  Exact on rational payloads.
+    returns +inf when no triple applies, NaN if a float triple gives NaN.
+    Rational payloads are exact: float64 filter, exact refinement.
     """
-    d = c.d
-    n = c.n
-    best: float | Fraction | None = None
-    for i in range(n):
-        for j in range(n):
-            if d[i, j] <= 0:
-                continue
-            for k in range(n):
-                if d[j, k] > 0:
-                    s = d[i, k] - d[i, j] - d[j, k]
-                    if best is None or s < best:
-                        best = s
-    return best if best is not None else float("inf")
+    return _min_slack(c.d, c.d > 0)
 
 
 def chronological_relation(c: Causet) -> set[tuple[int, int]]:
     """The relation I = {(i, j) : d(i, j) > 0}."""
-    d = c.d
-    if c.is_rational:
-        return {(i, j) for i in range(c.n) for j in range(c.n) if d[i, j] > 0}
-    return {(int(i), int(j)) for i, j in np.argwhere(d > 0)}
+    return {(int(i), int(j)) for i, j in np.argwhere(c.d > 0)}
 
 
 def diameter(c: Causet) -> float:
@@ -349,13 +353,9 @@ def adjoin_boundary(c: Causet, label: str = "i0") -> Causet:
     while lab in c.labels:
         lab = f"{label}_{k}"
         k += 1
-    if c.is_rational:
-        m = np.empty((n + 1, n + 1), dtype=object)
-        m[:, :] = Fraction(0)
-        m[:n, :n] = c.d
-    else:
-        m = np.zeros((n + 1, n + 1))
-        m[:n, :n] = c.d
+    m = np.full((n + 1, n + 1), Fraction(0) if c.is_rational else 0.0,
+                dtype=c.d.dtype)
+    m[:n, :n] = c.d
     return Causet(c.labels + (lab,), m, boundary=n, meta=c.meta)
 
 

@@ -259,6 +259,9 @@ def _triangle(d: np.ndarray, x: int, y: int, z: int) -> TimelikeTriangle:
                             float(d[x, z]))
 
 
+# inf or NaN host entries give NaN in the side filter and side candidates,
+# which fails every test there; numpy's warnings about it are noise
+@np.errstate(invalid="ignore", divide="ignore")
 def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
                           tol: float = 0.05,
                           side_params: Sequence[SideParams] | None = None,

@@ -14,15 +14,15 @@ rational without losing strictness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .causet import Causet, distance_quotient, induced, validate
-from .distinction import GammaMatrix, gamma
+from .causet import (Causet, _float_image, _min_slack, distance_quotient,
+                     induced, validate)
+from .distinction import GammaMatrix, _chebyshev_gaps, gamma
 from .gh import Correspondence
 
 __all__ = [
@@ -168,6 +168,24 @@ def check_uniformly_totally_bounded(family: Sequence[Causet],
     return FamilyReport(params, tuple(checks))
 
 
+def _simplest_between(a: int, b: int, c: int, e: int) -> Fraction:
+    """Simplest rational in (a/b, c/e), for integers with b, e > 0: peel
+    partial quotients until an integer, or one plus a unit fraction, fits.
+    """
+    quotients = []
+    while (fl := a // b) * b != a and (fl + 1) * e >= c:
+        quotients.append(fl)  # descend into (1 / (hi - fl), 1 / (lo - fl))
+        a, b, c, e = e, c - fl * e, b, a - fl * b
+    if (fl + 1) * e < c:
+        p, q = fl + 1, 1
+    else:  # interval (fl, hi) with hi <= fl + 1: take fl + 1/q for small q
+        q = e // (c - fl * e) + 1
+        p = fl * q + 1
+    for fl in reversed(quotients):
+        p, q = fl * p + q, p
+    return Fraction(p, q)
+
+
 def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
     """A small-denominator rational strictly inside the open interval.
 
@@ -175,46 +193,33 @@ def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
-    if lo < 0:
-        # shift to nonnegative territory and back
-        shift = -math.floor(lo)
-        return simplest_rational_between(lo + shift, hi + shift) - shift
-    floor_lo = lo.numerator // lo.denominator
-    candidate = Fraction(floor_lo + 1)
-    if candidate < hi:
-        return candidate
-    if lo == floor_lo:
-        # interval (k, hi) with hi <= k + 1: take k + 1/q for small q
-        q = (1 / (hi - lo)).__floor__() + 1
-        return lo + Fraction(1, q)
-    inner = simplest_rational_between(1 / (hi - floor_lo), 1 / (lo - floor_lo))
-    return floor_lo + 1 / inner
+    return _simplest_between(lo.numerator, lo.denominator,
+                             hi.numerator, hi.denominator)
 
 
-def _exact_gamma(d: np.ndarray) -> list[list[Fraction]]:
-    n = d.shape[0]
-    g = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            worst = Fraction(0)
-            for z in range(n):
-                worst = max(worst, abs(d[i, z] - d[j, z]),
-                            abs(d[z, i] - d[z, j]))
-            g[i][j] = g[j][i] = worst
-    return g
+def _min_gamma(d: np.ndarray, f: np.ndarray, err: float):
+    """Smallest exact gamma between two points; on a finite image f the
+    float gamma is within err of it, so only pairs near its minimum count.
+    """
+    i, j = np.triu_indices(d.shape[0], 1)
+    if np.isfinite(f).all():
+        gf = np.maximum(*_chebyshev_gaps(f))[i, j]
+        near = gf <= gf.min() + 2 * err
+        i, j = i[near], j[near]
+    return min(max(np.abs(d[a] - d[b]).max(), np.abs(d[:, a] - d[:, b]).max())
+               for a, b in zip(i, j))
 
 
 def _link_counts(pos: np.ndarray) -> np.ndarray:
-    """t[i][j]: maximal number of links of a chronological chain i -> j."""
-    n = pos.shape[0]
-    t = np.where(pos, 1, 0)
-    for k in range(n):
-        for i in range(n):
-            if not t[i, k]:
-                continue
-            for j in range(n):
-                if t[k, j] and t[i, k] + t[k, j] > t[i, j]:
-                    t[i, j] = t[i, k] + t[k, j]
+    """t[i][j]: maximal number of links of a chronological chain i -> j.
+
+    Max-plus closure, one step per k; row and column k stay fixed at step
+    k, since a causet's pos is acyclic.
+    """
+    t = pos.astype(np.int64)
+    for k in range(len(t)):
+        via = np.outer(t[:, k] > 0, t[k] > 0)
+        np.maximum(t, np.where(via, t[:, [k]] + t[[k], :], 0), out=t)
     return t
 
 
@@ -226,26 +231,24 @@ def rationalize(c: Causet, eps: float) -> Causet:
     inequality strictly slack (concatenating chains forces
     t(i,k) >= t(i,j) + t(j,k)).  Stage two rounds each entry to a
     small-denominator rational inside a margin that preserves strictness,
-    positivity, and the distinguishing axiom.  All arithmetic is exact.
+    positivity, and the distinguishing axiom.  All arithmetic is exact, the
+    minima that size delta and the margin included (exact: float64 filter,
+    exact refinement).  NaN, +-inf and chronological cycles raise ValueError.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = c.n
-    if c.is_rational:
-        d = c.d.copy()
-    else:
-        d = np.empty((n, n), dtype=object)
-        src = c.d
-        for i in range(n):
-            for j in range(n):
-                d[i, j] = Fraction(float(src[i, j]))
-    pos = np.array([[d[i, j] > 0 for j in range(n)] for i in range(n)])
+    bad = [] if c.is_rational else np.argwhere(~np.isfinite(c.d))
+    if len(bad):
+        i, j = (int(v) for v in bad[0])
+        raise ValueError(f"entry ({i}, {j}) is {c.d[i, j]}, not finite")
+    d = np.frompyfunc(Fraction, 1, 1)(c.d)
+    pos = c.d > 0  # a float and its Fraction share their sign
     if n < 2:
         return Causet(c.labels, d, boundary=c.boundary, meta=c.meta)
 
-    eps_f = Fraction(eps) if not isinstance(eps, Fraction) else eps
-    g = _exact_gamma(d)
-    alpha = min(g[i][j] for i in range(n) for j in range(i + 1, n))
+    eps_f = Fraction(eps)
+    alpha = _min_gamma(d, *_float_image(c.d))
     if alpha <= 0:
         raise ValueError("input causet is not distinguishing")
     if not pos.any():
@@ -254,35 +257,23 @@ def rationalize(c: Causet, eps: float) -> Causet:
     pair_budget = Fraction(n * (n - 1), 2) ** 2
     delta = min(alpha / 4, eps_f / 2) / pair_budget
     t = _link_counts(pos)
+    if np.diag(t).any():
+        raise ValueError("input causet has a chronological cycle")
     d1 = d.copy()
-    for i in range(n):
-        for j in range(n):
-            if pos[i, j]:
-                d1[i, j] = d[i, j] + delta * int(t[i, j]) ** 2
+    d1[pos] = d[pos] + delta * (t[pos] ** 2).astype(object)
 
-    slack = None
-    for i in range(n):
-        for j in range(n):
-            if not pos[i, j]:
-                continue
-            for k in range(n):
-                if pos[j, k]:
-                    s = d1[i, k] - d1[i, j] - d1[j, k]
-                    if slack is None or s < slack:
-                        slack = s
-    p_min = min(d1[i, j] for i in range(n) for j in range(n) if pos[i, j])
-    margin = min(eps_f / 2, alpha / 8, p_min / 2)
-    if slack is not None:
-        if slack <= 0:
-            raise AssertionError("stage-one perturbation failed to be strict")
-        margin = min(margin, slack / 4)
+    slack = _min_slack(d1, pos)
+    p_min = min(d1[pos])
+    if slack <= 0:
+        raise AssertionError("stage-one perturbation failed to be strict")
+    margin = min(eps_f / 2, alpha / 8, p_min / 2, slack / 4)
 
     out = d1.copy()
-    for i in range(n):
-        for j in range(n):
-            if pos[i, j]:
-                out[i, j] = simplest_rational_between(d1[i, j] - margin,
-                                                      d1[i, j] + margin)
+    mp, mq = margin.numerator, margin.denominator
+    for i, j in zip(*np.nonzero(pos)):
+        v = d1[i, j]
+        num, w, den = v.numerator * mq, mp * v.denominator, v.denominator * mq
+        out[i, j] = _simplest_between(num - w, den, num + w, den)
     return Causet(c.labels, out, boundary=c.boundary, meta=c.meta)
 
 
@@ -293,7 +284,8 @@ def limit_causet(seq: Sequence[Causet], tol: float = 0.05) -> Causet:
     be Cauchy within tol over the tail (the later half); the limit is
     estimated by a least-squares fit of a + b/m over the tail positions,
     which is exact for sequences converging at first order, and points
-    whose limit profiles coincide within tol are identified.
+    whose limit profiles coincide within tol are identified, repeatedly,
+    until no two representatives do.
     """
     if not seq:
         raise ValueError("limit of an empty sequence")
@@ -327,8 +319,10 @@ def limit_causet(seq: Sequence[Causet], tol: float = 0.05) -> Causet:
             coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
             limit[i, j] = max(coef[0], 0.0)
 
-    lc = Causet(labels, limit)
-    out, _ = distance_quotient(lc, tol=tol)
+    # a merge can bring two representatives within tol: repeat to a fixpoint
+    out, _ = distance_quotient(Causet(labels, limit), tol=tol)
+    while (again := distance_quotient(out, tol=tol)[0]).n < out.n:
+        out = again
     report = validate(out, tol=max(tol, 1e-12))
     if not report.valid:
         kinds = sorted(report.kinds())

@@ -8,9 +8,12 @@ written in plain Python loops on purpose, so they share no code path
 with the vectorized library internals they are checked against.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
-from lorentzmet import Causet, validate
+from lorentzmet import Causet, Violation, validate
 
 
 def closure(d: np.ndarray) -> np.ndarray:
@@ -242,3 +245,220 @@ def grid_sup_gamma(x, y, size=400) -> float:
         np.abs(dist(uu, vv, x[0], x[1]) - dist(uu, vv, y[0], y[1])),
     ]
     return float(max(g.max() for g in gaps))
+
+
+# -- exact-arithmetic oracles --------------------------------------------
+
+def random_fraction_matrix(rng, n) -> np.ndarray:
+    """A random object-Fraction matrix that the float filters find hard.
+
+    A closed random DAG with mixed denominators, at times scaled past the
+    float range (10**310) or into the subnormals (10**-325), then up to
+    three planted defects: a negative entry, a diagonal entry, a duplicate
+    point (at times off by 1/10**30 of the scale), two boundary points, a
+    reverse-triangle near-tie off by +-1/10**30 of the scale or exact, an
+    entry above 1e308 or one below 1e-320.
+    """
+    scale = Fraction(1)
+    if rng.random() < 0.5:
+        scale = [Fraction(10**310), Fraction(1, 10**325),
+                 Fraction(1, 10**6)][int(rng.integers(0, 3))]
+
+    def entry():
+        den = int(rng.choice([1, 2, 3, 7, 10, 97, 2**40, 10**12 + 39]))
+        return (Fraction(int(rng.integers(0, 10**6)), den)
+                + Fraction(1, 1000)) * scale
+
+    d = np.full((n, n), Fraction(0), dtype=object)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                d[i, j] = entry()
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i, k] > 0 and d[k, j] > 0:
+                    d[i, j] = max(d[i, j], d[i, k] + d[k, j])
+    for _ in range(int(rng.integers(0, 4))):
+        kind = int(rng.integers(0, 7))
+        i, j = (int(v) for v in rng.integers(0, n, size=2))
+        if kind == 0:
+            d[i, j] = -entry()
+        elif kind == 1:
+            d[i, i] = entry()
+        elif kind == 2 and i != j:
+            d[j, :] = d[i, :]
+            d[:, j] = d[:, i]
+            d[i, j] = d[j, i] = d[j, j] = d[i, i]
+            if rng.random() < 0.5:  # a pair the float image cannot tell apart
+                z = int(rng.integers(0, n))
+                off = Fraction(1, 10**30) * scale
+                if rng.random() < 0.5:
+                    d[j, z] += off
+                else:
+                    d[z, j] += off
+        elif kind == 3:
+            d[[i, j], :] = Fraction(0)
+            d[:, [i, j]] = Fraction(0)
+        elif kind == 4:
+            trips = [(a, b, c) for a in range(n) for b in range(n)
+                     for c in range(n) if d[a, b] > 0 and d[b, c] > 0]
+            if trips:
+                a, b, c = trips[int(rng.integers(0, len(trips)))]
+                off = Fraction(int(rng.integers(-1, 2)), 10**30)
+                d[a, c] = d[a, b] + d[b, c] + off * scale
+        elif kind == 5:
+            d[i, j] = Fraction(10**309 + int(rng.integers(0, 5)))
+        else:
+            d[i, j] = Fraction(1, 10**321 + int(rng.integers(0, 5)))
+    return d
+
+
+# Plain Fraction loops: the reference for the float-filtered exact kernels
+# of validate, reverse_triangle_slack and rationalize.
+
+def oracle_validate_exact(d: np.ndarray) -> list:
+    """Axiom checks in exact Fraction arithmetic, witnesses in loop order."""
+    n = d.shape[0]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if d[i, j] < 0:
+                out.append(Violation("negative-entry", (i, j), float(d[i, j])))
+    for i in range(n):
+        if d[i, i] > 0:
+            out.append(Violation("diagonal", (i,), float(d[i, i])))
+    for i in range(n):
+        for j in range(n):
+            if d[i, j] <= 0:
+                continue
+            for k in range(n):
+                if d[j, k] > 0 and d[i, k] < d[i, j] + d[j, k]:
+                    out.append(Violation(
+                        "reverse-triangle", (i, j, k),
+                        float(d[i, j] + d[j, k] - d[i, k])))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if all(d[i, z] == d[j, z] for z in range(n)) and \
+               all(d[z, i] == d[z, j] for z in range(n)):
+                out.append(Violation("distinguishing", (i, j), 0.0))
+    zero = [i for i in range(n)
+            if all(d[i, z] == 0 for z in range(n))
+            and all(d[z, i] == 0 for z in range(n))]
+    if len(zero) >= 2:
+        out.append(Violation("multiple-boundary", tuple(zero), 0.0))
+    return out
+
+
+def oracle_slack(d: np.ndarray):
+    """min d(i,k) - d(i,j) - d(j,k) over d(i,j), d(j,k) > 0; None if none."""
+    n = d.shape[0]
+    best = None
+    for i in range(n):
+        for j in range(n):
+            if d[i, j] <= 0:
+                continue
+            for k in range(n):
+                if d[j, k] > 0:
+                    s = d[i, k] - d[i, j] - d[j, k]
+                    if best is None or s < best:
+                        best = s
+    return best
+
+
+def oracle_min_gamma(d: np.ndarray):
+    """Smallest exact distinction distance between two distinct points."""
+    n = d.shape[0]
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            worst = Fraction(0)
+            for z in range(n):
+                worst = max(worst, abs(d[i, z] - d[j, z]),
+                            abs(d[z, i] - d[z, j]))
+            g[i][j] = g[j][i] = worst
+    return min(g[i][j] for i in range(n) for j in range(i + 1, n))
+
+
+def oracle_link_counts(pos: np.ndarray) -> np.ndarray:
+    """t[i][j]: maximal number of links of a chronological chain i -> j."""
+    n = pos.shape[0]
+    t = np.where(pos, 1, 0)
+    for k in range(n):
+        for i in range(n):
+            if not t[i, k]:
+                continue
+            for j in range(n):
+                if t[k, j] and t[i, k] + t[k, j] > t[i, j]:
+                    t[i, j] = t[i, k] + t[k, j]
+    return t
+
+
+def oracle_simplest_rational_between(lo, hi):
+    """Stern-Brocot descent on Fractions, one call per partial quotient."""
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    if lo < 0:
+        shift = -math.floor(lo)
+        return oracle_simplest_rational_between(lo + shift, hi + shift) - shift
+    floor_lo = lo.numerator // lo.denominator
+    candidate = Fraction(floor_lo + 1)
+    if candidate < hi:
+        return candidate
+    if lo == floor_lo:
+        q = (1 / (hi - lo)).__floor__() + 1
+        return lo + Fraction(1, q)
+    inner = oracle_simplest_rational_between(1 / (hi - floor_lo),
+                                             1 / (lo - floor_lo))
+    return floor_lo + 1 / inner
+
+
+def oracle_rationalize(c: Causet, eps) -> np.ndarray:
+    """The Fraction matrix rationalize returns, from the loops above."""
+    n = c.n
+    if c.is_rational:
+        d = c.d.copy()
+    else:
+        d = np.empty((n, n), dtype=object)
+        for i in range(n):
+            for j in range(n):
+                d[i, j] = Fraction(float(c.d[i, j]))
+    pos = np.array([[d[i, j] > 0 for j in range(n)] for i in range(n)])
+    if n < 2:
+        return d
+    eps_f = Fraction(eps) if not isinstance(eps, Fraction) else eps
+    alpha = oracle_min_gamma(d)
+    if alpha <= 0:
+        raise ValueError("input causet is not distinguishing")
+    if not pos.any():
+        return d
+    delta = min(alpha / 4, eps_f / 2) / Fraction(n * (n - 1), 2) ** 2
+    t = oracle_link_counts(pos)
+    d1 = d.copy()
+    for i in range(n):
+        for j in range(n):
+            if pos[i, j]:
+                d1[i, j] = d[i, j] + delta * int(t[i, j]) ** 2
+    p_min = min(d1[i, j] for i in range(n) for j in range(n) if pos[i, j])
+    margin = min(eps_f / 2, alpha / 8, p_min / 2)
+    slack = None
+    for i in range(n):
+        for j in range(n):
+            if not pos[i, j]:
+                continue
+            for k in range(n):
+                if pos[j, k]:
+                    s = d1[i, k] - d1[i, j] - d1[j, k]
+                    if slack is None or s < slack:
+                        slack = s
+    if slack is not None:
+        if slack <= 0:
+            raise AssertionError("stage-one perturbation failed to be strict")
+        margin = min(margin, slack / 4)
+    out = d1.copy()
+    for i in range(n):
+        for j in range(n):
+            if pos[i, j]:
+                out[i, j] = oracle_simplest_rational_between(
+                    d1[i, j] - margin, d1[i, j] + margin)
+    return out

@@ -22,7 +22,9 @@ from lorentzmet import (
     validate,
 )
 from lorentzmet.causet import BoundaryError
-from helpers import corrupt, oracle_violations, random_valid_matrix
+from helpers import (corrupt, oracle_slack, oracle_validate_exact,
+                     oracle_violations, random_fraction_matrix,
+                     random_valid_matrix)
 
 
 CHAIN2 = [[0.0, 1.0], [0.0, 0.0]]
@@ -59,6 +61,13 @@ def test_matrix_is_frozen():
     c = Causet.from_matrix(CHAIN2)
     with pytest.raises(ValueError):
         c.d[0, 1] = 9.0
+    m = np.array([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]],
+                 dtype=object)
+    r = Causet.from_matrix(m)
+    with pytest.raises(ValueError):
+        r.d[0, 1] = Fraction(-5)
+    m[0, 1] = Fraction(-5)  # the caller's array is copied, not frozen
+    assert r.d[0, 1] == 1
 
 
 def test_validate_accepts_chains():
@@ -128,6 +137,18 @@ def test_validate_exact_ignores_tol():
     assert "reverse-triangle" in report.kinds()
 
 
+def test_exact_twins_past_the_float_range():
+    # both rows round to inf where they differ or agree; exact arithmetic
+    # must tell them apart or not
+    big = Fraction(10**309)
+    m = np.full((3, 3), Fraction(0), dtype=object)
+    m[0, 2] = m[1, 2] = big
+    assert [(v.kind, v.witness) for v in validate(m).violations] == \
+        [("distinguishing", (0, 1))]
+    m[1, 2] = big + 1
+    assert validate(m).valid
+
+
 def test_validator_agrees_with_naive_oracle():
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -163,17 +184,60 @@ def test_reverse_triangle_witnesses_match_oracle():
             assert v.magnitude == float(d[i, j] + d[j, k] - d[i, k])
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OverflowError:  # a magnitude past the float range, both sides
+        return OverflowError
+
+
+def test_exact_validate_and_slack_match_oracles():
+    # random Fraction matrices: mixed denominators, invalid entries,
+    # near-ties no float can decide, entries past 1e308 and below 1e-320
+    rng = np.random.default_rng(17)
+    ties = 0
+    for _ in range(150):
+        d = random_fraction_matrix(rng, int(rng.integers(1, 9)))
+        got = _outcome(lambda: list(validate(d).violations))
+        want = _outcome(oracle_validate_exact, d)
+        assert got == want
+        if want is not OverflowError:
+            ties += sum(v.kind == "reverse-triangle" and v.magnitude < 1e-20
+                        or v.kind == "distinguishing" for v in want)
+        slack = oracle_slack(d)
+        got = reverse_triangle_slack(Causet(tuple(map(str, range(len(d)))), d))
+        assert got == (float("inf") if slack is None else slack)
+        assert type(got) is (float if slack is None else Fraction)
+    assert ties > 0
+
+
+def test_float_slack_is_the_loop_value():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        c = random_valid_matrix(rng, int(rng.integers(2, 12)))
+        want = oracle_slack(c.d)
+        assert reverse_triangle_slack(c) == (float("inf") if want is None
+                                             else want)
+
+
 def test_reverse_triangle_slack():
     assert reverse_triangle_slack(Causet.from_matrix(CHAIN3)) == 0.0
     assert reverse_triangle_slack(Causet.from_matrix(CHAIN2)) == float("inf")
     loose = [[0.0, 1.0, 2.5], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
     assert reverse_triangle_slack(Causet.from_matrix(loose)) == 0.5
+    # a NaN slack wins even where a finite one comes first
+    nan_far = [[0, 1, 2, np.nan], [0, 0, 1, 2], [0, 0, 0, 1], [0, 0, 0, 0]]
+    assert np.isnan(reverse_triangle_slack(Causet.from_matrix(nan_far)))
     m = np.empty((3, 3), dtype=object)
     m[:, :] = Fraction(0)
     m[0, 1] = m[1, 2] = Fraction(1, 3)
     m[0, 2] = Fraction(3, 4)
     s = reverse_triangle_slack(Causet.from_matrix(m))
     assert s == Fraction(1, 12) and isinstance(s, Fraction)
+    # slack of +-1/10**30: the float image sees an exact tie
+    for off in (Fraction(1, 10**30), Fraction(-1, 10**30)):
+        m[0, 2] = Fraction(2, 3) + off
+        assert reverse_triangle_slack(Causet.from_matrix(m)) == off
 
 
 def test_chronological_relation_and_diameter():

@@ -185,6 +185,15 @@ def test_rationalize_domain_error_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_rationalize_non_finite_entry_exits_1(tmp_path, capsys):
+    p = tmp_path / "inf.json"
+    p.write_text('{"kind": "causet", "n": 2, "d": [[0, Infinity], [0, 0]]}')
+    assert main(["rationalize", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "(0, 1)" in err
+    assert "Traceback" not in err
+
+
 # -- sample, curvature, limit ---------------------------------------------------
 
 def test_sample_pipes_into_validate(capsys, monkeypatch):

@@ -14,6 +14,7 @@ Core claims:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,23 @@ def test_triangle_budget_exhausted_matches_oracle():
     want = oracle_triangles(host, min_sides, max_triangles=400)
     assert 0 < len(want) < 400
     assert [r.vertices for r in report.records] == want
+
+
+def test_non_finite_hosts_emit_no_warnings():
+    rng = np.random.default_rng(5)
+    for h in range(40):
+        n = int(rng.integers(10, 90))
+        host = sample_causet(DiamondSpace(), SampleSpec(count=n, seed=h))
+        d = host.d.copy()
+        for _ in range(3):
+            i, j = rng.integers(0, host.n, size=2)
+            d[i, j] = rng.choice([np.inf, -np.inf, np.nan])
+        host = Causet(host.labels, d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_curvature_bound(host, max_triangles=50, seed=h)
+        want = oracle_triangles(host, max_triangles=50, seed=h)
+        assert [r.vertices for r in report.records] == want
 
 
 def test_report_json_shape():

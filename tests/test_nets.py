@@ -12,6 +12,8 @@ Core claims:
       points
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -33,13 +35,18 @@ from lorentzmet import (
     simplest_rational_between,
     validate,
 )
+from lorentzmet.causet import _float_image
 from lorentzmet.nets import (
     EpsilonNet,
     TotallyBoundedParams,
+    _link_counts,
+    _min_gamma,
     check_uniformly_totally_bounded,
 )
 from lorentzmet.diamond import DiamondSpace, SampleSpec, causet_from_points, sample_causet
-from helpers import random_valid_matrix
+from helpers import (oracle_link_counts, oracle_min_gamma, oracle_rationalize,
+                     oracle_simplest_rational_between, random_fraction_matrix,
+                     random_valid_matrix)
 
 
 CHAIN2 = Causet.from_matrix([[0.0, 1.0], [0.0, 0.0]])
@@ -188,6 +195,72 @@ def test_rationalize_rejects_bad_input():
         rationalize(flat, eps=1e-3)
 
 
+def test_rationalize_rejects_non_finite_entries():
+    for value in (np.nan, np.inf, -np.inf):
+        d = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        d[1, 2] = value
+        with pytest.raises(ValueError, match=r"entry \(1, 2\)"):
+            rationalize(Causet.from_matrix(d), eps=1e-3)
+
+
+def test_rationalize_rejects_chronological_cycle():
+    loop = Causet.from_matrix([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="cycle"):
+        rationalize(loop, eps=1e-3)
+
+
+def test_rationalize_matches_oracle():
+    # every Fraction equal to the plain-loop construction, from float input
+    # and from rational input
+    rng = np.random.default_rng(31)
+    for _ in range(25):
+        c = random_valid_matrix(rng, int(rng.integers(2, 10)))
+        out = rationalize(c, eps=1e-3)
+        assert (out.d == oracle_rationalize(c, 1e-3)).all()
+        assert all(type(v) is Fraction for v in out.d.flat)
+        again = rationalize(out, eps=Fraction(1, 7))
+        want = oracle_rationalize(out, Fraction(1, 7))
+        assert (again.d == want).all()
+        assert all(type(v) is Fraction for v in again.d.flat)
+
+
+def test_exact_kernels_match_oracles():
+    rng = np.random.default_rng(37)
+    for _ in range(100):
+        d = random_fraction_matrix(rng, int(rng.integers(2, 9)))
+        assert _min_gamma(d, *_float_image(d)) == oracle_min_gamma(d)
+    for _ in range(30):
+        pos = random_valid_matrix(rng, int(rng.integers(1, 15))).d > 0
+        assert (_link_counts(pos) == oracle_link_counts(pos)).all()
+
+
+def test_min_gamma_when_float_order_differs():
+    d = np.full((6, 6), Fraction(0), dtype=object)
+    # exact gamma(0, 1) = 11/10 < gamma(2, 3) = 6/5, but the float image
+    # puts gamma(2, 3) at 1.0 (entries near 2**51 round to halves)
+    d[0, 4] = Fraction(11, 10)
+    d[2, 5], d[3, 5] = 2**51 + Fraction(6, 5), Fraction(2**51)
+    assert _min_gamma(d, *_float_image(d)) == Fraction(11, 10)
+    # gamma(0, 1) = 10**309 lies only in entries past the float range
+    d = np.full((6, 6), Fraction(0), dtype=object)
+    d[0, 4], d[1, 4] = Fraction(10**309), Fraction(2 * 10**309)
+    d[2, 5] = d[3, 4] = Fraction(1)
+    assert _min_gamma(d, *_float_image(d)) == oracle_min_gamma(d) == 1
+
+
+def test_rationalize_memory_is_quadratic():
+    # an O(n^3) broadcast of float64 at n = 120 alone needs 960 n^2 bytes
+    n = 120
+    c = sample_causet(DiamondSpace(), SampleSpec(count=n, seed=0))
+    tracemalloc.start()
+    try:
+        rationalize(c, eps=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * n * n
+
+
 def test_rationalize_keeps_rational_input_close():
     m = np.empty((2, 2), dtype=object)
     m[:, :] = Fraction(0)
@@ -208,6 +281,15 @@ def test_simplest_rational_hand_values():
         Fraction(7, 2)
     with pytest.raises(ValueError):
         simplest_rational_between(Fraction(1), Fraction(1))
+
+
+@given(st.fractions(max_denominator=10**12),
+       st.fractions(min_value=Fraction(1, 10**15), max_value=10**6,
+                    max_denominator=10**15))
+def test_simplest_rational_between_matches_oracle(lo, width):
+    got = simplest_rational_between(lo, lo + width)
+    assert got == oracle_simplest_rational_between(lo, lo + width)
+    assert type(got) is Fraction
 
 
 @given(st.fractions(min_value=-3, max_value=3, max_denominator=30),
@@ -267,6 +349,18 @@ def test_limit_rejects_bad_sequences():
     diverging = [_chain(1.0 + (-0.5) ** m) for m in range(1, 13)]
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         limit_causet(diverging, tol=0.01)
+
+
+def test_limit_quotients_until_nothing_merges():
+    # one tol-quotient of this limit left two representatives within tol,
+    # and the limit failed its own distinguishing check
+    c = sample_causet(DiamondSpace(), SampleSpec(count=13, seed=1928680310))
+    seq = [Causet(c.labels, c.d * (1 + 1 / m)) for m in range(20, 28)]
+    out = limit_causet(seq, tol=0.05)
+    assert out.n == 9
+    assert validate(out, tol=0.05).valid
+    keep = [c.labels.index(lbl) for lbl in out.labels]
+    assert np.abs(out.d - c.d[np.ix_(keep, keep)]).max() <= 0.05
 
 
 def test_limit_of_shrinking_cloud():
