@@ -221,6 +221,21 @@ def _float_image(d: np.ndarray) -> tuple[np.ndarray, float]:
     return f, 32 * 2.0**-53 * fin.max(initial=0.0) + 2.0**-1060
 
 
+def _chebyshev_gaps(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise sup-norm gaps between rows and between columns of d."""
+    return cdist(d, d, "chebyshev"), cdist(d.T, d.T, "chebyshev")
+
+
+def _nan_gaps(d: np.ndarray) -> np.ndarray:
+    """Pairwise sup-norm gaps between rows of d in which a NaN difference
+    counts as +inf, one row at a time, so memory stays O(n^2)."""
+    out = np.empty((len(d), len(d)))
+    for i, row in enumerate(d):
+        g = np.abs(row - d)
+        out[i] = np.where(np.isnan(g), np.inf, g).max(axis=1)
+    return out
+
+
 def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the defining axioms and report every violation found.
 
@@ -267,15 +282,11 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
         if np.isnan(f).any():
             # cdist's chebyshev skips NaN coordinates; a NaN must instead
             # make the pair distinguishable, like the naive |gap| <= tol
-            gaps = np.abs(f[:, None, :] - f[None, :, :])
-            rowgap = np.where(np.isnan(gaps), np.inf, gaps).max(axis=2)
-            gaps = np.abs(f.T[:, None, :] - f.T[None, :, :])
-            colgap = np.where(np.isnan(gaps), np.inf, gaps).max(axis=2)
+            rowgap, colgap = _nan_gaps(f), _nan_gaps(f.T)
         else:
             # equal Fractions have equal images, whose gaps are 0 or, from
             # inf - inf, skipped: every exact twin is flagged
-            rowgap = cdist(f, f, "chebyshev")
-            colgap = cdist(f.T, f.T, "chebyshev")
+            rowgap, colgap = _chebyshev_gaps(f)
         indist = (rowgap <= tol) & (colgap <= tol)
         for i, j in np.argwhere(np.triu(indist, 1)):
             if not exact or ((d[i] == d[j]).all()
@@ -424,9 +435,7 @@ def distance_quotient(m: Causet | np.ndarray, tol: float = 0.0
             else:
                 seen[key] = i
     else:
-        df = c.as_float()
-        rowgap = cdist(df, df, "chebyshev")
-        colgap = cdist(df.T, df.T, "chebyshev")
+        rowgap, colgap = _chebyshev_gaps(c.as_float())
         for i, j in np.argwhere(np.triu((rowgap <= tol) & (colgap <= tol), 1)):
             uf.union(int(i), int(j))
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .causet import BoundaryError, Causet, validate
@@ -64,21 +63,11 @@ def _emit_json(obj: dict, out: str | None) -> None:
 def cmd_validate(args) -> None:
     c = _read_causet(args.causet)
     report = validate(c, tol=args.tol)
-    if report.valid:
-        _emit_json({"valid": True}, args.out)
-    else:
-        _emit_json({"valid": False,
-                    "violations": [{"kind": v.kind,
-                                    "witness": list(v.witness),
-                                    "magnitude": v.magnitude}
-                                   for v in report.violations]}, args.out)
+    _emit_json({"valid": True} if report.valid else report.to_json(), args.out)
 
 
 def cmd_gamma(args) -> None:
-    if args.threads < 1:
-        raise UsageError(f"--threads must be at least 1, got {args.threads}")
-    c = _read_causet(args.causet)
-    _emit_json(gamma(c, threads=args.threads).to_json(), args.out)
+    _emit_json(gamma(_read_causet(args.causet)).to_json(), args.out)
 
 
 def cmd_tau(args) -> None:
@@ -137,30 +126,19 @@ def cmd_experiment(args) -> None:
     try:
         sizes = tuple(int(s) for s in args.sizes.split(","))
         cfg = ExperimentConfig(kind=args.kind, sizes=sizes, seed=args.seed,
-                               eps=args.eps, tol=args.tol, out=args.out)
+                               eps=args.eps, tol=args.tol)
     except ValueError as e:
         raise UsageError(f"bad experiment config: {e}") from e
     csv_text = run_experiment(cfg)
+    config = {"kind": cfg.kind, "sizes": list(sizes), "seed": cfg.seed,
+              "eps": cfg.eps, "tol": cfg.tol}
     if args.out is None:
-        print(json.dumps({"config": {"kind": cfg.kind, "sizes": list(sizes),
-                                     "seed": cfg.seed, "eps": cfg.eps,
-                                     "tol": cfg.tol}}), file=sys.stderr)
+        print(json.dumps({"config": config}), file=sys.stderr)
         sys.stdout.write(csv_text)
     else:
         with open(args.out, "w") as fh:
             fh.write(csv_text)
-        _emit_json({"config": {"kind": cfg.kind, "sizes": list(sizes),
-                               "seed": cfg.seed, "eps": cfg.eps,
-                               "tol": cfg.tol},
-                    "out": args.out}, None)
-
-
-def _default_threads() -> int:
-    env = os.environ.get("LORENTZ_GH_THREADS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+        _emit_json({"config": config, "out": args.out}, None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="distinction metric matrix")
     p.add_argument("causet")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--out")
     p.set_defaults(func=cmd_gamma)
 

@@ -13,14 +13,13 @@ isometry onto a subset of a sup-normed function space.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .causet import Causet
+from .causet import Causet, _chebyshev_gaps
 
 __all__ = [
     "GammaMatrix",
@@ -60,32 +59,13 @@ class GammaMatrix:
                 "boundary": None}
 
 
-def _chebyshev_gaps(d: np.ndarray, threads: int = 1
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise sup-norm gaps between rows and between columns of d."""
-    if threads <= 1 or d.shape[0] < 64:
-        return cdist(d, d, "chebyshev"), cdist(d.T, d.T, "chebyshev")
-    n = d.shape[0]
-    dt = np.ascontiguousarray(d.T)
-    chunks = np.array_split(np.arange(n), threads)
-
-    def rows(mat):
-        def work(idx):
-            return cdist(mat[idx], mat, "chebyshev")
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, chunks))
-        return np.vstack(parts)
-
-    return rows(d), rows(dt)
-
-
-def gamma(c: Causet, threads: int = 1) -> GammaMatrix:
+def gamma(c: Causet) -> GammaMatrix:
     """Distinction metric of every pair, by direct sup enumeration.
 
     Exact symmetry is enforced by mirroring the upper triangle.
     """
     d = c.as_float()
-    rowgap, colgap = _chebyshev_gaps(d, threads)
+    rowgap, colgap = _chebyshev_gaps(d)
     g = np.maximum(rowgap, colgap)
     g = np.triu(g, 1)
     g = g + g.T

@@ -30,19 +30,15 @@ class ExperimentConfig:
     """One experiment run: what to compute, at which sizes, with which seed."""
 
     kind: str
-    space: str = "diamond"
     sizes: tuple[int, ...] = (25, 50, 100, 200)
     seed: int = 0
     eps: float = 0.2
     tol: float = 0.05
     radii: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
-    out: str | None = None
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind '{self.kind}'")
-        if self.space != "diamond":
-            raise ValueError(f"unknown space '{self.space}'")
         if not self.sizes:
             raise ValueError("size ladder must be nonempty")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):

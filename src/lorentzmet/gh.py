@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .causet import Causet, diameter, find_isometries
 
@@ -68,11 +69,8 @@ def distortion(r: Correspondence, a: Causet, b: Causet) -> float:
     """Largest distance mismatch over ordered pairs of related pairs."""
     if r.m != a.n or r.n != b.n:
         raise ValueError("correspondence shape does not match the causets")
-    xs = np.array([p[0] for p in r.pairs])
-    ys = np.array([p[1] for p in r.pairs])
-    da = a.as_float()[np.ix_(xs, xs)]
-    db = b.as_float()[np.ix_(ys, ys)]
-    return float(np.abs(da - db).max())
+    xs, ys = np.array(r.pairs, dtype=int).reshape(-1, 2).T
+    return float(_dis(a.as_float(), b.as_float(), xs, ys))
 
 
 def compose(r1: Correspondence, r2: Correspondence) -> Correspondence:
@@ -109,6 +107,33 @@ class GHResult:
         return out
 
 
+def _checked(c: Causet, name: str) -> np.ndarray:
+    """Float matrix of c; a ValueError names an empty c or non-finite entry."""
+    if c.n == 0:
+        raise ValueError(f"causet {name} has no points")
+    d = c.as_float()
+    bad = np.argwhere(~np.isfinite(d))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(
+            f"causet {name} has a non-finite entry at ({i}, {j}): {d[i, j]}")
+    return d
+
+
+def _value_gap(va: np.ndarray, vb: np.ndarray) -> float:
+    """Largest distance from a value in va to the nearest one in sorted vb."""
+    # with a single value in vb the clip gives 0: both neighbours are vb[0]
+    pos = np.searchsorted(vb, va).clip(1, len(vb) - 1)
+    return float(np.minimum(np.abs(va - vb[pos - 1]),
+                            np.abs(va - vb[pos])).max())
+
+
+def _lower_bound(da: np.ndarray, db: np.ndarray) -> float:
+    va, vb = np.unique(da), np.unique(db)
+    diam_gap = abs(float(da.max()) - float(db.max()))
+    return max(diam_gap, _value_gap(va, vb), _value_gap(vb, va))
+
+
 def gh_lower_bounds(a: Causet, b: Causet) -> float:
     """Cheap lower bound: diameter gap and distance-value set mismatch.
 
@@ -116,131 +141,121 @@ def gh_lower_bounds(a: Causet, b: Causet) -> float:
     of the other, so the one-dimensional Hausdorff distance between the
     two value sets bounds d_GH from below; so does the diameter gap.
     """
-    va = np.unique(a.as_float())
-    vb = np.unique(b.as_float())
-    pos = np.searchsorted(vb, va).clip(1, len(vb) - 1) if len(vb) > 1 else \
-        np.zeros(len(va), dtype=int)
-    near_ab = np.minimum(np.abs(va - vb[pos - 1]), np.abs(va - vb[pos])) \
-        if len(vb) > 1 else np.abs(va - vb[0])
-    pos2 = np.searchsorted(va, vb).clip(1, len(va) - 1) if len(va) > 1 else \
-        np.zeros(len(vb), dtype=int)
-    near_ba = np.minimum(np.abs(vb - va[pos2 - 1]), np.abs(vb - va[pos2])) \
-        if len(va) > 1 else np.abs(vb - va[0])
-    value_gap = max(float(near_ab.max()), float(near_ba.max()))
-    diam_gap = abs(diameter(a) - diameter(b))
-    return max(diam_gap, value_gap)
+    return _lower_bound(_checked(a, "a"), _checked(b, "b"))
 
 
 def _profile_mismatch(da: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """mismatch[x, y]: sorted-profile sup gap, a heuristic match cost."""
-    m, n = da.shape[0], db.shape[0]
-    if m != n:
-        # pad the sorted profiles to a common length with zeros
-        k = max(m, n)
-        ra = np.zeros((m, k))
-        ra[:, k - m:] = np.sort(da, axis=1)
-        rb = np.zeros((n, k))
-        rb[:, k - n:] = np.sort(db, axis=1)
-        ca = np.zeros((m, k))
-        ca[:, k - m:] = np.sort(da.T, axis=1)
-        cb = np.zeros((n, k))
-        cb[:, k - n:] = np.sort(db.T, axis=1)
-    else:
-        ra, rb = np.sort(da, axis=1), np.sort(db, axis=1)
-        ca, cb = np.sort(da.T, axis=1), np.sort(db.T, axis=1)
-    gap_r = np.abs(ra[:, None, :] - rb[None, :, :]).max(axis=2)
-    gap_c = np.abs(ca[:, None, :] - cb[None, :, :]).max(axis=2)
-    return np.maximum(gap_r, gap_c)
+    """mismatch[x, y]: sorted-profile sup gap, a heuristic match cost.
+
+    Profiles are padded at the front with zeros to a common length k; the
+    gaps come from cdist, so memory stays O(m n + (m + n) k).
+    """
+    k = max(len(da), len(db))
+
+    def profiles(d):
+        p = np.zeros((2, len(d), k))
+        p[0, :, k - len(d):] = np.sort(d, axis=1)
+        p[1, :, k - len(d):] = np.sort(d.T, axis=1)
+        return p
+
+    pa, pb = profiles(da), profiles(db)
+    return np.maximum(cdist(pa[0], pb[0], "chebyshev"),
+                      cdist(pa[1], pb[1], "chebyshev"))
 
 
-def _pairs_distortion(pairs: list[tuple[int, int]], da, db) -> float:
-    worst = 0.0
-    for i in range(len(pairs)):
-        x, y = pairs[i]
-        for j in range(i, len(pairs)):
-            xp, yp = pairs[j]
-            v = abs(da[x, xp] - db[y, yp])
-            w = abs(da[xp, x] - db[yp, y])
-            if v > worst:
-                worst = v
-            if w > worst:
-                worst = w
-    return worst
+def _variance_order(d: np.ndarray) -> list:
+    return list(np.argsort(-d.var(axis=1), kind="stable"))
+
+
+def _costs(dp, dq, ps, qs, p) -> np.ndarray:
+    """Cost of adding the pair (p, q) to the pairs (ps[k], qs[k]), for every q.
+
+    Entry q is max over k of |dp[p, ps_k] - dq[q, qs_k]| and
+    |dp[ps_k, p] - dq[qs_k, q]|, 0.0 without pairs.  Called as (db, da, ys,
+    xs, y) it scores every x for a slot y: |u - v| and |v - u| are equal.
+    """
+    out = np.abs(dp[p, ps] - dq[:, qs])
+    back = np.abs(dp[ps, p] - dq[qs].T)
+    return np.maximum(out, back).max(axis=1, initial=0.0)
+
+
+def _dis(da, db, xs, ys):
+    """Distortion of the pairs (xs[k], ys[k]), over ordered pairs of pairs.
+
+    Every value the search returns keeps one type: a zero is the Python
+    0.0, any other value a numpy float (the results' repr depends on it).
+    """
+    return np.abs(da[np.ix_(xs, xs)] - db[np.ix_(ys, ys)]).max(initial=0.0) \
+        or 0.0
 
 
 def _greedy_once(da, db, x_order, y_order, mismatch):
-    """One greedy construction of (f, g) plus first-improvement polish."""
-    m, n = da.shape[0], db.shape[0]
-    pairs: list[tuple[int, int]] = []
+    """One greedy construction of (f, g) plus first-improvement polish.
 
-    def marginal(x, y):
-        worst = 0.0
-        for xp, yp in pairs:
-            v = abs(da[x, xp] - db[y, yp])
-            w = abs(da[xp, x] - db[yp, y])
-            if v > worst:
-                worst = v
-            if w > worst:
-                worst = w
-        return worst
+    Slot k < m holds the pair (k, f(k)) and slot m + y the pair (g(y), y);
+    the kernel scores a y slot with its arguments swapped.
+    """
+    m, n = len(da), len(db)
+    xs = np.concatenate([np.arange(m), np.zeros(n, dtype=int)])
+    ys = np.concatenate([np.zeros(m, dtype=int), np.arange(n)])
+    sides = ((da, db, xs, ys, mismatch), (db, da, ys, xs, mismatch.T))
 
-    f = [-1] * m
-    for x in x_order:
-        costs = [(marginal(x, y), mismatch[x, y], y) for y in range(n)]
-        _, _, y = min(costs)
-        f[x] = y
-        pairs.append((x, y))
-    g = [-1] * n
-    for y in y_order:
-        costs = [(marginal(x, y), mismatch[x, y], x) for x in range(m)]
-        _, _, x = min(costs)
-        g[y] = x
-        pairs.append((x, y))
+    # each slot takes the image cheapest against the slots filled before
+    # it; ties go to the smaller profile mismatch, then the smaller index
+    slots = np.concatenate([x_order, np.add(y_order, m)]).tolist()
+    for t, k in enumerate(slots):
+        dp, dq, ps, qs, mis = sides[k >= m]
+        done = slots[:t]
+        cost = _costs(dp, dq, ps[done], qs[done], ps[k])
+        qs[k] = np.lexsort((mis[ps[k]], cost))[0]
 
-    # local search: re-pick one assignment at a time while it helps
-    def full_dis(fv, gv):
-        ps = [(x, fv[x]) for x in range(m)] + [(gv[y], y) for y in range(n)]
-        return _pairs_distortion(ps, da, db)
-
-    best = full_dis(f, g)
-    improved = True
-    rounds = 0
-    max_rounds = 8 if m + n <= 80 else 0
-    while improved and rounds < max_rounds:
+    # local search: re-pick one slot at a time while it helps; the score
+    # of every image for slot k is the distortion with slot k set to it
+    best = _dis(da, db, xs, ys)
+    for _ in range(8 if m + n <= 80 else 0):
         improved = False
-        rounds += 1
-        for x in range(m):
-            cur = f[x]
-            for y in range(n):
-                if y == cur:
-                    continue
-                f[x] = y
-                v = full_dis(f, g)
-                if v < best - 1e-15:
-                    best = v
-                    cur = y
+        for k in range(m + n):
+            dp, dq, ps, qs, _ = sides[k >= m]
+            p, cur = ps[k], qs[k]
+            rps, rqs = np.delete(ps, k), np.delete(qs, k)
+            score = np.maximum(_costs(dp, dq, rps, rqs, p),
+                               np.abs(dp[p, p] - dq.diagonal()))
+            score = np.maximum(score, _dis(dp, dq, rps, rqs))
+            for q, v in enumerate(score.tolist()):
+                if q != cur and v < best - 1e-15:
+                    best, cur = score[q] or 0.0, q
                     improved = True
-                else:
-                    f[x] = cur
-        for y in range(n):
-            cur = g[y]
-            for x in range(m):
-                if x == cur:
-                    continue
-                g[y] = x
-                v = full_dis(f, g)
-                if v < best - 1e-15:
-                    best = v
-                    cur = x
-                    improved = True
-                else:
-                    g[y] = cur
-    return best, f, g
+            qs[k] = cur
+        if not improved:
+            break
+    return best, ys[:m].tolist(), xs[m:].tolist()
 
 
 def _function_pair_correspondence(m, n, f, g) -> Correspondence:
     pairs = {(x, f[x]) for x in range(m)} | {(g[y], y) for y in range(n)}
     return Correspondence(m, n, tuple(pairs))
+
+
+def _greedy(da, db, mismatch, orders, restarts, seed) -> GHResult:
+    m, n = len(da), len(db)
+    if m * n > 10000:
+        restarts = min(restarts, 2)
+    best = None
+    rng = np.random.default_rng(seed)
+    for trial in range(max(1, restarts)):
+        if trial == 0:
+            xo, yo = orders
+        else:
+            xo, yo = rng.permutation(m), rng.permutation(n)
+        val, f, g = _greedy_once(da, db, xo, yo, mismatch)
+        if best is None or val < best[0]:
+            best = (val, f, g)
+        if best[0] == 0.0:
+            break
+    val, f, g = best
+    return GHResult(lower=_lower_bound(da, db), upper=val, exact=None,
+                    witness=_function_pair_correspondence(m, n, f, g),
+                    method="greedy")
 
 
 def gh_upper_greedy(a: Causet, b: Causet, restarts: int = 32,
@@ -250,104 +265,54 @@ def gh_upper_greedy(a: Causet, b: Causet, restarts: int = 32,
     Deterministic for a fixed seed.  The first pass matches points by
     sorted-profile similarity; later restarts shuffle construction order.
     """
-    da, db = a.as_float(), b.as_float()
-    m, n = a.n, b.n
-    mismatch = _profile_mismatch(da, db)
-    base_x = list(np.argsort(-da.var(axis=1), kind="stable"))
-    base_y = list(np.argsort(-db.var(axis=1), kind="stable"))
-    if m * n > 10000:
-        restarts = min(restarts, 2)
-
-    best = None
-    rng = np.random.default_rng(seed)
-    for trial in range(max(1, restarts)):
-        if trial == 0:
-            xo, yo = base_x, base_y
-        else:
-            xo = list(rng.permutation(m))
-            yo = list(rng.permutation(n))
-        val, f, g = _greedy_once(da, db, xo, yo, mismatch)
-        if best is None or val < best[0]:
-            best = (val, f, g)
-        if best[0] == 0.0:
-            break
-    val, f, g = best
-    witness = _function_pair_correspondence(m, n, f, g)
-    lower = gh_lower_bounds(a, b)
-    return GHResult(lower=lower, upper=val, exact=None, witness=witness,
-                    method="greedy")
+    da, db = _checked(a, "a"), _checked(b, "b")
+    orders = (_variance_order(da), _variance_order(db))
+    return _greedy(da, db, _profile_mismatch(da, db), orders, restarts, seed)
 
 
-def _branch_and_bound(da, db, x_order, y_order, incumbent, inc_fg,
+def _branch_and_bound(da, db, x_order, y_order, mismatch, incumbent, inc_fg,
                       node_budget):
     """DFS over f then g assignments, pruning at the incumbent distortion.
 
     Returns (value, (f, g), completed, nodes_used).  The partial
     distortion only grows as pairs are added, so any node at or above the
-    incumbent is cut.
+    incumbent is cut.  Depth t assigns the pair (xs[t], ys[t]).
     """
-    m, n = da.shape[0], db.shape[0]
-    mismatch = _profile_mismatch(da, db)
-    y_by_pref = [list(np.argsort(mismatch[x], kind="stable")) for x in range(m)]
-    x_by_pref = [list(np.argsort(mismatch[:, y], kind="stable")) for y in range(n)]
+    m, n = len(da), len(db)
+    xs = np.concatenate([x_order, np.zeros(n, dtype=int)])
+    ys = np.concatenate([np.zeros(m, dtype=int), y_order])
+    # children in increasing profile mismatch, ties by index
+    sides = ((da, db, xs, ys, np.argsort(mismatch, axis=1, kind="stable")),
+             (db, da, ys, xs, np.argsort(mismatch.T, axis=1, kind="stable")))
+    best, fg, nodes, over = incumbent, inc_fg, 0, False
 
-    f = [-1] * m
-    g = [-1] * n
-    pairs: list[tuple[int, int]] = []
-    state = {"best": incumbent, "fg": inc_fg, "nodes": 0, "over": False}
-
-    def extend(x, y, current):
-        worst = current
-        for xp, yp in pairs:
-            v = abs(da[x, xp] - db[y, yp])
-            if v > worst:
-                worst = v
-            v = abs(da[xp, x] - db[yp, y])
-            if v > worst:
-                worst = v
-        return worst
-
-    def dfs(depth, current):
-        if state["over"] or state["best"] == 0.0:
+    def dfs(t, current):
+        nonlocal best, fg, nodes, over
+        if over or best == 0.0:
             return
-        state["nodes"] += 1
-        if node_budget is not None and state["nodes"] > node_budget:
-            state["over"] = True
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            over = True
             return
-        if depth == m + n:
-            if current < state["best"]:
-                state["best"] = current
-                state["fg"] = (f.copy(), g.copy())
+        if t == m + n:
+            if current < best:
+                best = current or 0.0
+                f, g = np.empty(m, dtype=int), np.empty(n, dtype=int)
+                f[xs[:m]], g[ys[m:]] = ys[:m], xs[m:]
+                fg = (f.tolist(), g.tolist())
             return
-        if depth < m:
-            x = x_order[depth]
-            for y in y_by_pref[x]:
-                cand = extend(x, y, current)
-                if cand >= state["best"]:
-                    continue
-                f[x] = y
-                pairs.append((x, y))
-                dfs(depth + 1, cand)
-                pairs.pop()
-                f[x] = -1
-                if state["over"]:
-                    return
-        else:
-            y = y_order[depth - m]
-            for x in x_by_pref[y]:
-                cand = extend(x, y, current)
-                if cand >= state["best"]:
-                    continue
-                g[y] = x
-                pairs.append((x, y))
-                dfs(depth + 1, cand)
-                pairs.pop()
-                g[y] = -1
-                if state["over"]:
-                    return
+        dp, dq, ps, qs, order = sides[t >= m]
+        cand = np.maximum(_costs(dp, dq, ps[:t], qs[:t], ps[t]), current)
+        for q in order[ps[t]]:
+            if cand[q] >= best:
+                continue
+            qs[t] = q
+            dfs(t + 1, cand[q])
+            if over:
+                return
 
     dfs(0, 0.0)
-    return state["best"], state["fg"], not state["over"], state["nodes"]
+    return best, fg, not over, nodes
 
 
 def gh_exact(a: Causet, b: Causet, max_exact_size: int = 6,
@@ -362,8 +327,10 @@ def gh_exact(a: Causet, b: Causet, max_exact_size: int = 6,
     if max(m, n) > max_exact_size:
         return gh_upper_greedy(a, b)
 
-    da, db = a.as_float(), b.as_float()
-    start = gh_upper_greedy(a, b, restarts=8)
+    da, db = _checked(a, "a"), _checked(b, "b")
+    mismatch = _profile_mismatch(da, db)
+    orders = (_variance_order(da), _variance_order(db))
+    start = _greedy(da, db, mismatch, orders, 8, 0)
     inc_f = [-1] * m
     inc_g = [-1] * n
     for x, y in start.witness.pairs:
@@ -372,18 +339,14 @@ def gh_exact(a: Causet, b: Causet, max_exact_size: int = 6,
         if inc_g[y] == -1:
             inc_g[y] = x
     # the witness covers both sides, so every slot is filled
-    incumbent = start.upper
-
-    x_order = list(np.argsort(-da.var(axis=1), kind="stable"))
-    y_order = list(np.argsort(-db.var(axis=1), kind="stable"))
 
     value, (f, g), completed, _ = _branch_and_bound(
-        da, db, x_order, y_order, incumbent, (inc_f, inc_g), node_budget)
+        da, db, *orders, mismatch, start.upper, (inc_f, inc_g), node_budget)
     witness = _function_pair_correspondence(m, n, f, g)
     if completed:
         return GHResult(lower=value, upper=value, exact=value,
                         witness=witness, method="exact")
-    return GHResult(lower=gh_lower_bounds(a, b), upper=value, exact=None,
+    return GHResult(lower=start.lower, upper=value, exact=None,
                     witness=witness, method="branch-bound")
 
 
@@ -401,11 +364,8 @@ def epsilon_isometry_from(r: Correspondence, a: Causet, b: Causet
 
 def map_distortion(f: list[int], a: Causet, b: Causet) -> float:
     """Distortion of a plain map X -> Y over all ordered point pairs."""
-    xs = np.arange(a.n)
-    ys = np.asarray(f)
-    da = a.as_float()
-    db = b.as_float()[np.ix_(ys, ys)]
-    return float(np.abs(da - db).max())
+    return float(_dis(a.as_float(), b.as_float(), np.arange(a.n),
+                      np.asarray(f, dtype=int)))
 
 
 def gh_zero_is_isometry(a: Causet, b: Causet, tol: float = 1e-9) -> bool:

@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .causet import (Causet, _float_image, _min_slack, distance_quotient,
-                     induced, validate)
-from .distinction import GammaMatrix, _chebyshev_gaps, gamma
+from .causet import (Causet, _chebyshev_gaps, _float_image, _min_slack,
+                     distance_quotient, induced, validate)
+from .distinction import GammaMatrix, gamma
 from .gh import Correspondence
 
 __all__ = [

@@ -462,3 +462,198 @@ def oracle_rationalize(c: Causet, eps) -> np.ndarray:
                 out[i, j] = oracle_simplest_rational_between(
                     d1[i, j] - margin, d1[i, j] + margin)
     return out
+
+
+# -- GH search oracles ---------------------------------------------------
+# The pair loops gh.py used before its numpy kernel: same candidate order
+# and tie-breaks, so every value, witness and node count must agree.
+
+def oracle_profile_mismatch(da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """Sorted-profile sup gaps by an O(m n k) broadcast."""
+    m, n = da.shape[0], db.shape[0]
+    k = max(m, n)
+    pad = []
+    for d in (da, db, da.T, db.T):
+        p = np.zeros((len(d), k))
+        p[:, k - len(d):] = np.sort(d, axis=1)
+        pad.append(p)
+    ra, rb, ca, cb = pad
+    gap_r = np.abs(ra[:, None, :] - rb[None, :, :]).max(axis=2)
+    gap_c = np.abs(ca[:, None, :] - cb[None, :, :]).max(axis=2)
+    return np.maximum(gap_r, gap_c)
+
+
+def oracle_pairs_distortion(pairs, da, db):
+    worst = 0.0
+    for i in range(len(pairs)):
+        x, y = pairs[i]
+        for j in range(i, len(pairs)):
+            xp, yp = pairs[j]
+            v = abs(da[x, xp] - db[y, yp])
+            w = abs(da[xp, x] - db[yp, y])
+            if v > worst:
+                worst = v
+            if w > worst:
+                worst = w
+    return worst
+
+
+def _oracle_marginal(pairs, da, db, x, y, current=0.0):
+    worst = current
+    for xp, yp in pairs:
+        v = abs(da[x, xp] - db[y, yp])
+        if v > worst:
+            worst = v
+        v = abs(da[xp, x] - db[yp, y])
+        if v > worst:
+            worst = v
+    return worst
+
+
+def oracle_greedy_once(da, db, x_order, y_order, mismatch):
+    """Greedy (f, g) construction, then first-improvement local search that
+    re-scores the whole pair list for every candidate."""
+    m, n = da.shape[0], db.shape[0]
+    pairs = []
+    f = [-1] * m
+    for x in x_order:
+        _, _, y = min((_oracle_marginal(pairs, da, db, x, y),
+                        mismatch[x, y], y)
+                      for y in range(n))
+        f[x] = y
+        pairs.append((x, y))
+    g = [-1] * n
+    for y in y_order:
+        _, _, x = min((_oracle_marginal(pairs, da, db, x, y),
+                        mismatch[x, y], x)
+                      for x in range(m))
+        g[y] = x
+        pairs.append((x, y))
+
+    def full_dis():
+        ps = [(x, f[x]) for x in range(m)] + [(g[y], y) for y in range(n)]
+        return oracle_pairs_distortion(ps, da, db)
+
+    best = full_dis()
+    improved, rounds = True, 0
+    max_rounds = 8 if m + n <= 80 else 0
+    while improved and rounds < max_rounds:
+        improved = False
+        rounds += 1
+        for fv, size in ((f, n), (g, m)):
+            for slot in range(len(fv)):
+                cur = fv[slot]
+                for cand in range(size):
+                    if cand == cur:
+                        continue
+                    fv[slot] = cand
+                    v = full_dis()
+                    if v < best - 1e-15:
+                        best, cur, improved = v, cand, True
+                    else:
+                        fv[slot] = cur
+    return best, f, g
+
+
+def oracle_lower_bound(da: np.ndarray, db: np.ndarray) -> float:
+    va, vb = np.unique(da), np.unique(db)
+    gaps = []
+    for u, v in ((va, vb), (vb, va)):
+        gaps.append(max(min(abs(s - t) for t in v) for s in u))
+    diam_gap = abs(float(da.max()) - float(db.max()))
+    return max(diam_gap, float(max(gaps)))
+
+
+def oracle_greedy(da, db, restarts=32, seed=0):
+    """(upper, witness pairs) of gh_upper_greedy from the loops above."""
+    m, n = da.shape[0], db.shape[0]
+    mismatch = oracle_profile_mismatch(da, db)
+    base_x = list(np.argsort(-da.var(axis=1), kind="stable"))
+    base_y = list(np.argsort(-db.var(axis=1), kind="stable"))
+    if m * n > 10000:
+        restarts = min(restarts, 2)
+    best = None
+    rng = np.random.default_rng(seed)
+    for trial in range(max(1, restarts)):
+        if trial == 0:
+            xo, yo = base_x, base_y
+        else:
+            xo, yo = list(rng.permutation(m)), list(rng.permutation(n))
+        val, f, g = oracle_greedy_once(da, db, xo, yo, mismatch)
+        if best is None or val < best[0]:
+            best = (val, f, g)
+        if best[0] == 0.0:
+            break
+    val, f, g = best
+    pairs = {(x, f[x]) for x in range(m)} | {(g[y], y) for y in range(n)}
+    return val, tuple(sorted((int(x), int(y)) for x, y in pairs))
+
+
+def oracle_branch_and_bound(da, db, x_order, y_order, incumbent, inc_fg,
+                            node_budget):
+    """DFS over f then g, children in profile-mismatch order, pruning at
+    the incumbent; returns (value, (f, g), completed, nodes)."""
+    m, n = da.shape[0], db.shape[0]
+    mismatch = oracle_profile_mismatch(da, db)
+    y_by_pref = [list(np.argsort(mismatch[x], kind="stable")) for x in range(m)]
+    x_by_pref = [list(np.argsort(mismatch[:, y], kind="stable"))
+                 for y in range(n)]
+    f, g, pairs = [-1] * m, [-1] * n, []
+    state = {"best": incumbent, "fg": inc_fg, "nodes": 0, "over": False}
+
+    def dfs(depth, current):
+        if state["over"] or state["best"] == 0.0:
+            return
+        state["nodes"] += 1
+        if node_budget is not None and state["nodes"] > node_budget:
+            state["over"] = True
+            return
+        if depth == m + n:
+            if current < state["best"]:
+                state["best"] = current
+                state["fg"] = (f.copy(), g.copy())
+            return
+        if depth < m:
+            x = x_order[depth]
+            options = [(x, y, f, x) for y in y_by_pref[x]]
+        else:
+            y = y_order[depth - m]
+            options = [(x, y, g, y) for x in x_by_pref[y]]
+        for x, y, fv, slot in options:
+            cand = _oracle_marginal(pairs, da, db, x, y, current)
+            if cand >= state["best"]:
+                continue
+            fv[slot] = y if fv is f else x
+            pairs.append((x, y))
+            dfs(depth + 1, cand)
+            pairs.pop()
+            fv[slot] = -1
+            if state["over"]:
+                return
+
+    dfs(0, 0.0)
+    return state["best"], state["fg"], not state["over"], state["nodes"]
+
+
+def oracle_gh_exact(da, db, max_exact_size=6, node_budget=None):
+    """(lower, upper, exact, method, witness pairs) of gh_exact."""
+    m, n = da.shape[0], db.shape[0]
+    if max(m, n) > max_exact_size:
+        upper, pairs = oracle_greedy(da, db)
+        return oracle_lower_bound(da, db), upper, None, "greedy", pairs
+    upper, pairs = oracle_greedy(da, db, restarts=8)
+    inc_f, inc_g = [-1] * m, [-1] * n
+    for x, y in pairs:
+        if inc_f[x] == -1:
+            inc_f[x] = y
+        if inc_g[y] == -1:
+            inc_g[y] = x
+    x_order = list(np.argsort(-da.var(axis=1), kind="stable"))
+    y_order = list(np.argsort(-db.var(axis=1), kind="stable"))
+    value, (f, g), completed, _ = oracle_branch_and_bound(
+        da, db, x_order, y_order, upper, (inc_f, inc_g), node_budget)
+    pairs = {(x, f[x]) for x in range(m)} | {(g[y], y) for y in range(n)}
+    pairs = tuple(sorted((int(x), int(y)) for x, y in pairs))
+    if completed:
+        return value, value, value, "exact", pairs
+    return oracle_lower_bound(da, db), value, None, "branch-bound", pairs

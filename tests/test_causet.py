@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from lorentzmet import (
     strip_boundary,
     validate,
 )
-from lorentzmet.causet import BoundaryError
+from lorentzmet.causet import BoundaryError, _nan_gaps
 from helpers import (corrupt, oracle_slack, oracle_validate_exact,
                      oracle_violations, random_fraction_matrix,
                      random_valid_matrix)
@@ -106,6 +107,30 @@ def test_validate_nan_row_is_not_indistinguishable():
     kinds = validate(Causet.from_matrix(d)).kinds()
     assert "negative-entry" in kinds
     assert "distinguishing" not in kinds
+
+
+def test_validate_nan_branch_memory_is_quadratic():
+    n = 200
+    idx = np.arange(n, dtype=float)
+    d = np.maximum(idx[None, :] - idx[:, None], 0.0)  # a chain
+    d[3, 5] = np.nan
+    tracemalloc.start()
+    try:
+        rep = validate(Causet.from_matrix(d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * n * n
+    assert rep.violations[0].kind == "negative-entry"
+    # the row-at-a-time gaps are the n^3 broadcast's, NaN counted as +inf
+    rng = np.random.default_rng(4)
+    f = rng.uniform(0, 2, (9, 9))
+    f[rng.random((9, 9)) < 0.1] = np.nan
+    f[rng.random((9, 9)) < 0.1] = np.inf
+    with np.errstate(invalid="ignore"):
+        gaps = np.abs(f[:, None, :] - f[None, :, :])
+        want = np.where(np.isnan(gaps), np.inf, gaps).max(axis=2)
+        assert np.array_equal(_nan_gaps(f), want)
 
 
 def test_validate_tolerance_absorbs_small_defects():

@@ -112,22 +112,6 @@ def test_gamma_output(tmp_path, capsys):
     assert blob["d"] == [[0.0, 1.0], [1.0, 0.0]]
 
 
-def test_gamma_thread_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LORENTZ_GH_THREADS", "4")
-    path = write_causet(tmp_path, CHAIN, "c.json")
-    blob = run_json(capsys, ["gamma", path])
-    assert blob["d"] == [[0.0, 1.0], [1.0, 0.0]]
-    blob2 = run_json(capsys, ["gamma", path, "--threads", "2"])
-    assert blob2 == blob
-
-
-def test_gamma_rejects_nonpositive_threads(tmp_path, capsys):
-    path = write_causet(tmp_path, CHAIN, "c.json")
-    for threads in ("-3", "0"):
-        assert main(["gamma", path, "--threads", threads]) == 2
-        assert "error:" in capsys.readouterr().err
-
-
 def test_tau_values(tmp_path, capsys):
     path = write_causet(tmp_path, CHAIN, "c.json")
     blob = run_json(capsys, ["tau", path])
@@ -155,6 +139,22 @@ def test_gh_greedy_default(tmp_path, capsys):
     assert "exact" not in blob
     assert blob["method"] == "greedy"
     assert blob["upper"] >= blob["lower"]
+
+
+def test_gh_empty_or_non_finite_input_exits_1(tmp_path, capsys):
+    a = write_causet(tmp_path, CHAIN, "a.json")
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"kind": "causet", "n": 0, "d": []}')
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"kind": "causet", "n": 2, "d": [[0, NaN], [0, 0]]}')
+    for argv, where in (([a, str(empty), "--exact"], "causet b has no points"),
+                        ([str(empty), a], "causet a has no points"),
+                        ([str(nan), a, "--exact"], "(0, 1)"),
+                        ([a, str(nan)], "(0, 1)")):
+        assert main(["gh", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and where in err
+        assert "Traceback" not in err
 
 
 # -- net and rationalize --------------------------------------------------------

@@ -58,12 +58,6 @@ def test_gamma_diameter_equals_distance_diameter(small_corpus):
         assert gamma(c).diameter() == diameter(c)
 
 
-def test_gamma_threaded_path_matches():
-    rng = np.random.default_rng(12)
-    c = random_valid_matrix(rng, 80, p_edge=0.2)
-    assert np.array_equal(gamma(c).g, gamma(c, threads=4).g)
-
-
 def test_kuratowski_embedding_is_isometry(small_corpus):
     for c in small_corpus:
         g = gamma(c).g

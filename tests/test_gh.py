@@ -8,13 +8,17 @@ Core claims:
     - any correspondence with distortion delta distorts gamma by <= 3 delta
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lorentzmet import (
     Causet,
     Correspondence,
+    DiamondSpace,
     GHResult,
+    SampleSpec,
     compose,
     diameter,
     distance_quotient,
@@ -25,9 +29,13 @@ from lorentzmet import (
     gh_upper_greedy,
     gh_zero_is_isometry,
     induced,
+    sample_causet,
 )
-from lorentzmet.gh import epsilon_isometry_from, map_distortion
-from helpers import oracle_gh, random_valid_matrix
+from lorentzmet.gh import (_branch_and_bound, _profile_mismatch,
+                           epsilon_isometry_from, map_distortion)
+from helpers import (oracle_branch_and_bound, oracle_gh, oracle_gh_exact,
+                     oracle_greedy, oracle_lower_bound, oracle_profile_mismatch,
+                     random_valid_matrix)
 
 
 CHAIN_1 = Causet.from_matrix([[0.0, 1.0], [0.0, 0.0]])
@@ -218,3 +226,97 @@ def test_gh_result_json_shape():
                             "witness_pairs"]
     partial = GHResult(0.1, 0.2, None, None, "greedy")
     assert "exact" not in partial.to_json()
+
+
+def _search_instances():
+    """Finite pairs of sizes 1-7, m != n included: random valid causets,
+    random nonnegative matrices (nonzero diagonals, many ties), diamond
+    subspaces, all-zero pairs and self pairs."""
+    rng = np.random.default_rng(31)
+    host = sample_causet(DiamondSpace(), SampleSpec(count=40, seed=5))
+    out = []
+    for _ in range(6):
+        m, n = (int(v) for v in rng.integers(1, 8, size=2))
+        out.append((random_valid_matrix(rng, m), random_valid_matrix(rng, n)))
+        out.append((Causet.from_matrix(rng.integers(0, 3, (m, m)) * 0.5),
+                    Causet.from_matrix(rng.uniform(0, 2, (n, n))
+                                       * (rng.random((n, n)) < 0.6))))
+        out.append((induced(host, rng.choice(host.n, m, replace=False)),
+                    induced(host, rng.choice(host.n, n, replace=False))))
+    zero = Causet.from_matrix(np.zeros((3, 3)))
+    out += [(zero, zero), (zero, Causet.from_matrix(np.zeros((5, 5)))),
+            (CHAIN_1, CHAIN_1), (out[0][1], out[0][1])]
+    # a move that gains one ulp, which the 1e-15 threshold refuses
+    u, v = 1 + 2.0**-52, 2 + 2.0**-51
+    out.append((Causet.from_matrix([[0, 2, 0, 0], [u, 0, 1, 0],
+                                    [0, 2, 0.5, 0], [0, 0, 0, u]]),
+                Causet.from_matrix([[1, 0, 1, v], [0, 0.5, 0, u],
+                                    [u, 2, 0, v], [0, 0, 0, v]])))
+    # a local search that ends at distortion zero
+    out.append((Causet.from_matrix([[1, 0.5, 0.5, 1], [0, 0, 0, 1],
+                                    [1, 0, 0, 0], [0, 0, 0, 0]]),
+                Causet.from_matrix([[0, 0, 0, 0], [0, 0, 1, 0],
+                                    [1, 0.5, 1, 0.5], [1, 0, 0, 0]])))
+    return out
+
+
+def test_gh_search_matches_loop_oracles():
+    for a, b in _search_instances():
+        da, db = a.as_float(), b.as_float()
+        assert np.array_equal(_profile_mismatch(da, db),
+                              oracle_profile_mismatch(da, db))
+        lower = repr(oracle_lower_bound(da, db))
+        assert repr(gh_lower_bounds(a, b)) == lower
+        for restarts, seed in ((1, 0), (2, 5), (3, 1), (4, 9)):
+            r = gh_upper_greedy(a, b, restarts=restarts, seed=seed)
+            upper, pairs = oracle_greedy(da, db, restarts, seed)
+            assert (repr(r.lower), repr(r.upper), r.exact, r.method,
+                    r.witness.pairs) == (lower, repr(upper), None, "greedy",
+                                         pairs)
+        for budget in (3, 50, 1000):
+            r = gh_exact(a, b, max_exact_size=7, node_budget=budget)
+            lo, up, ex, method, pairs = oracle_gh_exact(da, db, 7, budget)
+            assert (repr(r.lower), repr(r.upper), repr(r.exact), r.method,
+                    r.witness.pairs) == (repr(lo), repr(up), repr(ex),
+                                         method, pairs)
+            # node count and completion from an open start
+            x_order = list(np.argsort(-da.var(axis=1), kind="stable"))
+            y_order = list(np.argsort(-db.var(axis=1), kind="stable"))
+            empty = ([-1] * a.n, [-1] * b.n)
+            got = _branch_and_bound(da, db, x_order, y_order,
+                                    _profile_mismatch(da, db), np.inf, empty,
+                                    budget)
+            want = oracle_branch_and_bound(da, db, x_order, y_order, np.inf,
+                                           empty, budget)
+            assert repr(got[0]) == repr(want[0])
+            assert [list(map(int, v)) for v in got[1]] == \
+                [list(map(int, v)) for v in want[1]]
+            assert got[2:] == want[2:]
+
+
+@pytest.mark.parametrize("solver", [gh_exact, gh_upper_greedy,
+                                    gh_lower_bounds])
+def test_gh_rejects_empty_and_non_finite_inputs(solver):
+    empty = Causet.from_matrix(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="causet a has no points"):
+        solver(empty, CHAIN_1)
+    with pytest.raises(ValueError, match="causet b has no points"):
+        solver(CHAIN_1, empty)
+    for bad in (np.nan, np.inf):
+        c = Causet.from_matrix([[0.0, 1.0, 0.5], [0.0, 0.0, 0.0],
+                                [0.0, bad, 0.0]])
+        with pytest.raises(ValueError, match=r"causet b .* at \(2, 1\)"):
+            solver(CHAIN_1, c)
+
+
+def test_greedy_memory_is_quadratic():
+    a = sample_causet(DiamondSpace(), SampleSpec(count=200, seed=1))
+    b = sample_causet(DiamondSpace(), SampleSpec(count=200, seed=2))
+    n = max(a.n, b.n)
+    tracemalloc.start()
+    try:
+        gh_upper_greedy(a, b, restarts=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * n * n
