@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .causet import BoundaryError, Causet, validate
@@ -44,6 +45,17 @@ def _read_causet(path: str) -> Causet:
         raise  # well-formed, but the space has no such boundary: exit 1
     except (KeyError, ValueError, TypeError) as e:
         raise UsageError(f"bad causet in '{path}': {e}") from e
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of --tol, --eps and --k: a float that is not NaN or inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: '{text}'")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: '{text}'")
+    return value
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -151,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the axioms of a causet file")
     p.add_argument("causet", help="causet JSON path, or - for stdin")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(func=cmd_validate)
 
@@ -176,14 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("net", help="greedy epsilon-net of a causet")
     p.add_argument("causet")
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_net)
 
     p = sub.add_parser("rationalize",
                        help="perturb to rational, strict distances")
     p.add_argument("causet")
-    p.add_argument("--eps", type=float, default=1e-3)
+    p.add_argument("--eps", type=_finite_float, default=1e-3)
     p.add_argument("--out")
     p.set_defaults(func=cmd_rationalize)
 
@@ -199,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curvature", help="flat comparison bound check")
     p.add_argument("causet")
-    p.add_argument("--k", type=float, default=0.0)
+    p.add_argument("--k", type=_finite_float, default=0.0)
     p.add_argument("--bound", choices=("lower", "upper"), default="lower")
-    p.add_argument("--tol", type=float, default=0.05)
+    p.add_argument("--tol", type=_finite_float, default=0.05)
     p.add_argument("--max-triangles", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -209,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit", help="entrywise limit of aligned causets")
     p.add_argument("causets", nargs="+")
-    p.add_argument("--tol", type=float, default=0.05)
+    p.add_argument("--tol", type=_finite_float, default=0.05)
     p.add_argument("--out")
     p.set_defaults(func=cmd_limit)
 
@@ -217,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=EXPERIMENT_KINDS)
     p.add_argument("--sizes", default="25,50,100,200")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.2)
-    p.add_argument("--tol", type=float, default=0.05)
+    p.add_argument("--eps", type=_finite_float, default=0.2)
+    p.add_argument("--tol", type=_finite_float, default=0.05)
     p.add_argument("--out")
     p.set_defaults(func=cmd_experiment)
 

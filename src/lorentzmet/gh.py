@@ -189,8 +189,34 @@ def _dis(da, db, xs, ys):
         or 0.0
 
 
-def _greedy_once(da, db, x_order, y_order, mismatch):
-    """One greedy construction of (f, g) plus first-improvement polish.
+# local search runs, and the pair table is built, only while m + n stays
+# within this: the table takes 8 (m n)^2 bytes, 20 MB at 40 x 40
+TABLE_MAX_POINTS = 80
+
+
+def _pair_table(da, db) -> np.ndarray:
+    """Distortion of every two pairs: w[x n + y, x' n + y'] is the larger of
+    |da[x, x'] - db[y, y']| and |da[x', x] - db[y', y]|.
+
+    Both searches that revisit pairs read it instead of calling _costs; the
+    entries are the same floats, as |u - v| and |v - u| are equal and max
+    is exact.  Peak memory is twice the table.
+    """
+    m, n = len(da), len(db)
+    w = da[:, None, :, None] - db[None, :, None, :]
+    w = np.abs(w, out=w).reshape(m * n, m * n)
+    return np.maximum(w, w.T)
+
+
+def _slot_pairs(m, n, k, p):
+    """Table rows of the pairs slot k can hold: (p, q) for an x slot k < m,
+    (q, p) for a y slot, over every image q."""
+    return slice(p * n, p * n + n, 1) if k < m else slice(p, m * n, n)
+
+
+def _greedy_once(da, db, x_order, y_order, mismatch, table):
+    """One greedy construction of (f, g), then first-improvement polish if
+    the pair table is given.
 
     Slot k < m holds the pair (k, f(k)) and slot m + y the pair (g(y), y);
     the kernel scores a y slot with its arguments swapped.
@@ -210,22 +236,36 @@ def _greedy_once(da, db, x_order, y_order, mismatch):
         qs[k] = np.lexsort((mis[ps[k]], cost))[0]
 
     # local search: re-pick one slot at a time while it helps; the score
-    # of every image for slot k is the distortion with slot k set to it
+    # of every image for slot k is the distortion with slot k set to it,
+    # the largest of its table entries against the other slots, its self
+    # term and the distortion among the other slots
     best = _dis(da, db, xs, ys)
-    for _ in range(8 if m + n <= 80 else 0):
+    if table is None:
+        return best, ys[:m].tolist(), xs[m:].tolist()
+    pairs = xs * n + ys
+    selfw = table.diagonal()
+    keep = np.arange(m + n - 1)
+    others = keep + (keep >= np.arange(m + n)[:, None])  # row k skips k
+    for _ in range(8):
         improved = False
         for k in range(m + n):
-            dp, dq, ps, qs, _ = sides[k >= m]
-            p, cur = ps[k], qs[k]
-            rps, rqs = np.delete(ps, k), np.delete(qs, k)
-            score = np.maximum(_costs(dp, dq, rps, rqs, p),
-                               np.abs(dp[p, p] - dq.diagonal()))
-            score = np.maximum(score, _dis(dp, dq, rps, rqs))
+            rest = pairs[others[k]]
+            # best is the larger of slot k's own terms and the distortion
+            # among the other slots; if slot k's terms are below best, the
+            # latter equals best and no image can score below it
+            if max(table[pairs[k], rest].max(), selfw[pairs[k]]) < best:
+                continue
+            _, _, ps, qs, _ = sides[k >= m]
+            cand = _slot_pairs(m, n, k, ps[k])
+            score = np.maximum(table[cand][:, rest].max(axis=1), selfw[cand])
+            score = np.maximum(score, table[rest][:, rest].max())
+            cur = qs[k]
             for q, v in enumerate(score.tolist()):
                 if q != cur and v < best - 1e-15:
                     best, cur = score[q] or 0.0, q
                     improved = True
             qs[k] = cur
+            pairs[k] = xs[k] * n + ys[k]
         if not improved:
             break
     return best, ys[:m].tolist(), xs[m:].tolist()
@@ -236,7 +276,8 @@ def _function_pair_correspondence(m, n, f, g) -> Correspondence:
     return Correspondence(m, n, tuple(pairs))
 
 
-def _greedy(da, db, mismatch, orders, restarts, seed) -> GHResult:
+def _greedy(da, db, mismatch, orders, restarts, seed, table):
+    """Best (distortion, f, g) over the restarts of _greedy_once."""
     m, n = len(da), len(db)
     if m * n > 10000:
         restarts = min(restarts, 2)
@@ -247,15 +288,12 @@ def _greedy(da, db, mismatch, orders, restarts, seed) -> GHResult:
             xo, yo = orders
         else:
             xo, yo = rng.permutation(m), rng.permutation(n)
-        val, f, g = _greedy_once(da, db, xo, yo, mismatch)
+        val, f, g = _greedy_once(da, db, xo, yo, mismatch, table)
         if best is None or val < best[0]:
             best = (val, f, g)
         if best[0] == 0.0:
             break
-    val, f, g = best
-    return GHResult(lower=_lower_bound(da, db), upper=val, exact=None,
-                    witness=_function_pair_correspondence(m, n, f, g),
-                    method="greedy")
+    return best
 
 
 def gh_upper_greedy(a: Causet, b: Causet, restarts: int = 32,
@@ -264,29 +302,42 @@ def gh_upper_greedy(a: Causet, b: Causet, restarts: int = 32,
 
     Deterministic for a fixed seed.  The first pass matches points by
     sorted-profile similarity; later restarts shuffle construction order.
+    Local search runs only for m + n <= TABLE_MAX_POINTS.
     """
     da, db = _checked(a, "a"), _checked(b, "b")
+    m, n = len(da), len(db)
     orders = (_variance_order(da), _variance_order(db))
-    return _greedy(da, db, _profile_mismatch(da, db), orders, restarts, seed)
+    table = _pair_table(da, db) if m + n <= TABLE_MAX_POINTS else None
+    val, f, g = _greedy(da, db, _profile_mismatch(da, db), orders, restarts,
+                        seed, table)
+    return GHResult(lower=_lower_bound(da, db), upper=val, exact=None,
+                    witness=_function_pair_correspondence(m, n, f, g),
+                    method="greedy")
 
 
-def _branch_and_bound(da, db, x_order, y_order, mismatch, incumbent, inc_fg,
-                      node_budget):
+def _branch_and_bound(da, db, x_order, y_order, mismatch, table, incumbent,
+                      inc_fg, node_budget):
     """DFS over f then g assignments, pruning at the incumbent distortion.
 
     Returns (value, (f, g), completed, nodes_used).  The partial
     distortion only grows as pairs are added, so any node at or above the
-    incumbent is cut.  Depth t assigns the pair (xs[t], ys[t]).
+    incumbent is cut.  Depth t assigns the pair (xs[t], ys[t]); reach[P]
+    is the largest table entry between the pair P and the assigned pairs.
     """
     m, n = len(da), len(db)
     xs = np.concatenate([x_order, np.zeros(n, dtype=int)])
     ys = np.concatenate([np.zeros(m, dtype=int), y_order])
     # children in increasing profile mismatch, ties by index
-    sides = ((da, db, xs, ys, np.argsort(mismatch, axis=1, kind="stable")),
-             (db, da, ys, xs, np.argsort(mismatch.T, axis=1, kind="stable")))
+    sides = ((xs, ys, np.argsort(mismatch, axis=1, kind="stable")),
+             (ys, xs, np.argsort(mismatch.T, axis=1, kind="stable")))
+    slots = []
+    for t in range(m + n):
+        ps, qs, order = sides[t >= m]
+        cand = _slot_pairs(m, n, t, ps[t])
+        slots.append((qs, cand, order[ps[t]].tolist()))
     best, fg, nodes, over = incumbent, inc_fg, 0, False
 
-    def dfs(t, current):
+    def dfs(t, current, reach):
         nonlocal best, fg, nodes, over
         if over or best == 0.0:
             return
@@ -301,17 +352,18 @@ def _branch_and_bound(da, db, x_order, y_order, mismatch, incumbent, inc_fg,
                 f[xs[:m]], g[ys[m:]] = ys[:m], xs[m:]
                 fg = (f.tolist(), g.tolist())
             return
-        dp, dq, ps, qs, order = sides[t >= m]
-        cand = np.maximum(_costs(dp, dq, ps[:t], qs[:t], ps[t]), current)
-        for q in order[ps[t]]:
-            if cand[q] >= best:
+        qs, cand, order = slots[t]
+        cost = np.maximum(reach[cand], current)
+        for q in order:
+            if cost[q] >= best:
                 continue
             qs[t] = q
-            dfs(t + 1, cand[q])
+            dfs(t + 1, cost[q],
+                np.maximum(reach, table[cand.start + q * cand.step]))
             if over:
                 return
 
-    dfs(0, 0.0)
+    dfs(0, 0.0, np.zeros(m * n))
     return best, fg, not over, nodes
 
 
@@ -320,33 +372,28 @@ def gh_exact(a: Causet, b: Causet, max_exact_size: int = 6,
     """Exact d_GH by branch and bound over function pairs.
 
     Points are assigned in decreasing row-variance order.  Instances with
-    max(m, n) beyond `max_exact_size` fall back to greedy bounds; an
-    exhausted node budget returns the incumbent as bounds only.
+    max(m, n) beyond `max_exact_size`, or m + n beyond TABLE_MAX_POINTS,
+    fall back to greedy bounds; an exhausted node budget returns the
+    incumbent as bounds only.
     """
     m, n = a.n, b.n
-    if max(m, n) > max_exact_size:
+    if max(m, n) > max_exact_size or m + n > TABLE_MAX_POINTS:
         return gh_upper_greedy(a, b)
 
     da, db = _checked(a, "a"), _checked(b, "b")
     mismatch = _profile_mismatch(da, db)
     orders = (_variance_order(da), _variance_order(db))
-    start = _greedy(da, db, mismatch, orders, 8, 0)
-    inc_f = [-1] * m
-    inc_g = [-1] * n
-    for x, y in start.witness.pairs:
-        if inc_f[x] == -1:
-            inc_f[x] = y
-        if inc_g[y] == -1:
-            inc_g[y] = x
-    # the witness covers both sides, so every slot is filled
-
+    table = _pair_table(da, db)
+    # the warm start's own (f, g) is the incumbent, so the witness of an
+    # unimproved search has the distortion reported as its upper bound
+    upper, f, g = _greedy(da, db, mismatch, orders, 8, 0, table)
     value, (f, g), completed, _ = _branch_and_bound(
-        da, db, *orders, mismatch, start.upper, (inc_f, inc_g), node_budget)
+        da, db, *orders, mismatch, table, upper, (f, g), node_budget)
     witness = _function_pair_correspondence(m, n, f, g)
     if completed:
         return GHResult(lower=value, upper=value, exact=value,
                         witness=witness, method="exact")
-    return GHResult(lower=start.lower, upper=value, exact=None,
+    return GHResult(lower=_lower_bound(da, db), upper=value, exact=None,
                     witness=witness, method="branch-bound")
 
 

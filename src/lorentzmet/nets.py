@@ -14,6 +14,7 @@ rational without losing strictness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -55,8 +56,8 @@ def extract_net(c: Causet, eps: float, g: GammaMatrix | None = None
     Starts from index 0 and repeatedly adds the point farthest from the
     current members until everything is within eps.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     if c.n == 0:
         raise ValueError("cannot extract a net from an empty causet")
     gm = g if g is not None else gamma(c)

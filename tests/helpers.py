@@ -565,7 +565,7 @@ def oracle_lower_bound(da: np.ndarray, db: np.ndarray) -> float:
 
 
 def oracle_greedy(da, db, restarts=32, seed=0):
-    """(upper, witness pairs) of gh_upper_greedy from the loops above."""
+    """(upper, witness pairs, f, g) of gh_upper_greedy from the loops above."""
     m, n = da.shape[0], db.shape[0]
     mismatch = oracle_profile_mismatch(da, db)
     base_x = list(np.argsort(-da.var(axis=1), kind="stable"))
@@ -586,7 +586,7 @@ def oracle_greedy(da, db, restarts=32, seed=0):
             break
     val, f, g = best
     pairs = {(x, f[x]) for x in range(m)} | {(g[y], y) for y in range(n)}
-    return val, tuple(sorted((int(x), int(y)) for x, y in pairs))
+    return val, tuple(sorted((int(x), int(y)) for x, y in pairs)), f, g
 
 
 def oracle_branch_and_bound(da, db, x_order, y_order, incumbent, inc_fg,
@@ -639,15 +639,10 @@ def oracle_gh_exact(da, db, max_exact_size=6, node_budget=None):
     """(lower, upper, exact, method, witness pairs) of gh_exact."""
     m, n = da.shape[0], db.shape[0]
     if max(m, n) > max_exact_size:
-        upper, pairs = oracle_greedy(da, db)
+        upper, pairs, _, _ = oracle_greedy(da, db)
         return oracle_lower_bound(da, db), upper, None, "greedy", pairs
-    upper, pairs = oracle_greedy(da, db, restarts=8)
-    inc_f, inc_g = [-1] * m, [-1] * n
-    for x, y in pairs:
-        if inc_f[x] == -1:
-            inc_f[x] = y
-        if inc_g[y] == -1:
-            inc_g[y] = x
+    # the greedy (f, g) itself is the incumbent
+    upper, _, inc_f, inc_g = oracle_greedy(da, db, restarts=8)
     x_order = list(np.argsort(-da.var(axis=1), kind="stable"))
     y_order = list(np.argsort(-db.var(axis=1), kind="stable"))
     value, (f, g), completed, _ = oracle_branch_and_bound(

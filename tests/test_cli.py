@@ -102,6 +102,25 @@ def test_net_requires_eps(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["net", "C", "--eps", "nan"],
+    ["net", "C", "--eps", "inf"],
+    ["validate", "C", "--tol", "nan"],
+    ["curvature", "C", "--tol", "nan"],
+    ["curvature", "C", "--k", "-inf"],
+    ["rationalize", "C", "--eps", "nan"],
+    ["limit", "C", "C", "--tol", "inf"],
+    ["experiment", "limit", "--eps", "nan"],
+    ["validate", "C", "--tol", "abc"],
+])
+def test_non_finite_float_flags_exit_2(tmp_path, capsys, argv):
+    path = write_causet(tmp_path, CHAIN, "c.json")
+    with pytest.raises(SystemExit) as exc:
+        main([path if a == "C" else a for a in argv])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # -- gamma and tau ------------------------------------------------------------
 
 def test_gamma_output(tmp_path, capsys):

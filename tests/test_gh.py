@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lorentzmet.gh as gh_module
 from lorentzmet import (
     Causet,
     Correspondence,
@@ -31,7 +32,7 @@ from lorentzmet import (
     induced,
     sample_causet,
 )
-from lorentzmet.gh import (_branch_and_bound, _profile_mismatch,
+from lorentzmet.gh import (_branch_and_bound, _pair_table, _profile_mismatch,
                            epsilon_isometry_from, map_distortion)
 from helpers import (oracle_branch_and_bound, oracle_gh, oracle_gh_exact,
                      oracle_greedy, oracle_lower_bound, oracle_profile_mismatch,
@@ -269,7 +270,7 @@ def test_gh_search_matches_loop_oracles():
         assert repr(gh_lower_bounds(a, b)) == lower
         for restarts, seed in ((1, 0), (2, 5), (3, 1), (4, 9)):
             r = gh_upper_greedy(a, b, restarts=restarts, seed=seed)
-            upper, pairs = oracle_greedy(da, db, restarts, seed)
+            upper, pairs, _, _ = oracle_greedy(da, db, restarts, seed)
             assert (repr(r.lower), repr(r.upper), r.exact, r.method,
                     r.witness.pairs) == (lower, repr(upper), None, "greedy",
                                          pairs)
@@ -284,14 +285,60 @@ def test_gh_search_matches_loop_oracles():
             y_order = list(np.argsort(-db.var(axis=1), kind="stable"))
             empty = ([-1] * a.n, [-1] * b.n)
             got = _branch_and_bound(da, db, x_order, y_order,
-                                    _profile_mismatch(da, db), np.inf, empty,
-                                    budget)
+                                    _profile_mismatch(da, db),
+                                    _pair_table(da, db), np.inf, empty, budget)
             want = oracle_branch_and_bound(da, db, x_order, y_order, np.inf,
                                            empty, budget)
             assert repr(got[0]) == repr(want[0])
             assert [list(map(int, v)) for v in got[1]] == \
                 [list(map(int, v)) for v in want[1]]
             assert got[2:] == want[2:]
+
+
+def test_greedy_matches_loop_oracle_with_local_search_at_8_to_12_points():
+    rng = np.random.default_rng(37)
+    host = sample_causet(DiamondSpace(), SampleSpec(count=120, seed=7))
+    for m, n in ((8, 12), (12, 9), (10, 10)):
+        for a, b in ((random_valid_matrix(rng, m), random_valid_matrix(rng, n)),
+                     (induced(host, rng.choice(host.n, m, replace=False)),
+                      induced(host, rng.choice(host.n, n, replace=False)))):
+            for restarts, seed in ((1, 0), (2, 3)):
+                r = gh_upper_greedy(a, b, restarts=restarts, seed=seed)
+                upper, pairs, _, _ = oracle_greedy(a.as_float(), b.as_float(),
+                                                   restarts, seed)
+                assert (repr(r.upper), r.witness.pairs) == (repr(upper), pairs)
+
+
+def _refuse_table(da, db):
+    raise AssertionError("pair table built")
+
+
+def test_greedy_past_the_table_cap_matches_loop_oracle(monkeypatch):
+    # m + n = 81: construction only, so no table and no local search
+    host = sample_causet(DiamondSpace(), SampleSpec(count=120, seed=7))
+    rng = np.random.default_rng(41)
+    a = induced(host, rng.choice(host.n, 41, replace=False))
+    b = induced(host, rng.choice(host.n, 40, replace=False))
+    monkeypatch.setattr(gh_module, "_pair_table", _refuse_table)
+    r = gh_upper_greedy(a, b, restarts=2, seed=1)
+    upper, pairs, _, _ = oracle_greedy(a.as_float(), b.as_float(), 2, 1)
+    assert (repr(r.upper), r.witness.pairs) == (repr(upper), pairs)
+
+
+@pytest.mark.parametrize("seed, xa, xb", [
+    (34008, [92, 117, 19, 43, 48], [26, 108, 115, 47, 164]),
+    (100, [40, 187, 36, 21, 9], [79, 66, 81, 134, 181, 73]),
+])
+def test_gh_exact_witness_matches_upper_when_the_budget_runs_out(seed, xa,
+                                                                 xb):
+    # the warm start's (f, g) is the witness when the search finds nothing
+    # better; a witness rebuilt from one pair per point distorted less
+    host = sample_causet(DiamondSpace(), SampleSpec(count=200, seed=seed))
+    a, b = induced(host, xa), induced(host, xb)
+    r = gh_exact(a, b, node_budget=1000)
+    want = {34008: 0.2434949989060699, 100: 0.3356662440866945}[seed]
+    assert (r.method, r.upper) == ("branch-bound", want)
+    assert distortion(r.witness, a, b) == r.upper
 
 
 @pytest.mark.parametrize("solver", [gh_exact, gh_upper_greedy,
@@ -320,3 +367,30 @@ def test_greedy_memory_is_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 200 * n * n
+
+
+def test_pair_table_memory_is_bounded():
+    # 40 x 40 is the largest square size that builds the table
+    a = sample_causet(DiamondSpace(), SampleSpec(count=40, seed=1))
+    b = sample_causet(DiamondSpace(), SampleSpec(count=40, seed=2))
+    tracemalloc.start()
+    try:
+        gh_upper_greedy(a, b, restarts=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * (a.n * b.n) ** 2
+
+
+def test_gh_exact_past_the_table_cap_builds_no_table(monkeypatch):
+    a = sample_causet(DiamondSpace(), SampleSpec(count=50, seed=1))
+    b = sample_causet(DiamondSpace(), SampleSpec(count=50, seed=2))
+    monkeypatch.setattr(gh_module, "_pair_table", _refuse_table)
+    tracemalloc.start()
+    try:
+        r = gh_exact(a, b, max_exact_size=100, node_budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.method == "greedy"
+    assert peak < (a.n * b.n) ** 2  # an eighth of one table

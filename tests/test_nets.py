@@ -68,6 +68,9 @@ def test_extract_net_corner_cases():
     assert sorted(extract_net(c, 0.0).members) == [0, 1, 2]
     with pytest.raises(ValueError):
         extract_net(c, -0.1)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            extract_net(c, bad)
 
 
 def test_extract_net_covers(diamond60):
