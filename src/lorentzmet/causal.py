@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .causet import Causet
+from .causet import Causet, _check_tol
 
 __all__ = [
     "CausalRelation",
@@ -58,23 +58,35 @@ class CausalRelation:
         return tuple(int(i) for i in np.flatnonzero(self.matrix[:, x]))
 
 
+def _j_among(d: np.ndarray, pts: np.ndarray | None, tol: float) -> np.ndarray:
+    """J on pts x pts (every point when pts is None), over the light cones."""
+    _check_tol(tol)
+    dT = np.ascontiguousarray(d.T)
+    fine = (d >= 0) & (d < np.inf)
+    past = (dT > tol) | ~fine.all(axis=1)  # past[x]: the past cone of x
+    fut = (d > tol) | ~fine.all(axis=0)    # fut[y]: the future cone of y
+    cols = slice(None) if pts is None else pts
+    pts = np.arange(len(d)) if pts is None else pts
+    ok = np.empty((2, len(pts), len(pts)), dtype=bool)  # [x, y], [y, x]
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, failing the test
+        for k, (cone, m, t) in enumerate(((past, d, dT), (fut, dT, d))):
+            for a, x in enumerate(pts):
+                p = np.flatnonzero(cone[x])
+                ok[k, a] = (m[p][:, cols] >= t[x, p, None] - tol).all(axis=0)
+    return ok[0] & ok[1].T
+
+
 def causal_relation(c: Causet, tol: float = 0.0) -> CausalRelation:
-    """Compute J by comparing distance profiles pointwise."""
-    d = c.as_float()
-    n = c.n
-    j = np.empty((n, n), dtype=bool)
-    for x in range(n):
-        past_ok = (d >= d[:, [x]] - tol).all(axis=0)
-        fut_ok = (d[[x], :] >= d - tol).all(axis=1)
-        j[x] = past_ok & fut_ok
-    return CausalRelation(j)
+    """Compute J by comparing distance profiles pointwise, within tol.
 
-
-def _in_strict_j(d: np.ndarray, x: int, y: int, tol: float = 0.0) -> bool:
-    if x == y:
-        return False
-    return bool((d[:, y] >= d[:, x] - tol).all()
-                and (d[x, :] >= d[y, :] - tol).all())
+    A p with d(p, x) <= tol and a nonnegative finite row passes the past
+    test d(p, y) >= d(p, x) - tol for every y, and likewise for columns and
+    the future test.  So for each x only the rows of its past cone
+    {p : d(p, x) > tol, or row p holds a negative, NaN or infinite entry}
+    are compared, and for each y the columns of its future cone; J is
+    identical to the full O(n^3) comparison.  A NaN tol raises ValueError.
+    """
+    return CausalRelation(_j_among(c.as_float(), None, tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,6 +183,7 @@ def is_chain(c: Causet, points: Sequence[int], tol: float = 0.0
     pts = [int(p) for p in points]
     if not pts:
         raise ValueError("a chain needs at least one point")
+    _check_tol(tol)
     d = c.as_float()
     seen: set[int] = set()
     for p in pts:
@@ -179,13 +192,11 @@ def is_chain(c: Causet, points: Sequence[int], tol: float = 0.0
         if p in seen:
             return (p, p)
         seen.add(p)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if not _in_strict_j(d, pts[i], pts[j], tol):
-                return (pts[i], pts[j])
-    iso = all(d[pts[i], pts[j]] > 0
-              for i in range(len(pts)) for j in range(i + 1, len(pts)))
-    return Chain(tuple(pts), iso)
+    later = np.triu(np.ones((len(pts), len(pts)), dtype=bool), 1)
+    bad = np.argwhere(later & ~_j_among(d, np.array(pts), tol))
+    if len(bad):  # the first in row-major order, as a pair loop finds it
+        return tuple(pts[i] for i in bad[0])
+    return Chain(tuple(pts), bool((d[np.ix_(pts, pts)] > 0)[later].all()))
 
 
 def _chain_points(chain: Union[Chain, Sequence[int]]) -> list[int]:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import pdist, squareform
 
 __all__ = [
     "BoundaryError",
@@ -221,19 +221,51 @@ def _float_image(d: np.ndarray) -> tuple[np.ndarray, float]:
     return f, 32 * 2.0**-53 * fin.max(initial=0.0) + 2.0**-1060
 
 
+def _check_tol(tol) -> None:
+    if tol != tol:  # NaN compares False everywhere: checks would be silent
+        raise ValueError("tol must not be NaN")
+
+
+def _sup_gaps(m: np.ndarray) -> np.ndarray:
+    """Sup-norm gap of every two rows of m (contiguous: pdist is several
+    times slower on a strided view); NaN differences are skipped."""
+    return squareform(pdist(m, "chebyshev")) if len(m) > 1 \
+        else np.zeros(m.shape)
+
+
 def _chebyshev_gaps(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise sup-norm gaps between rows and between columns of d."""
-    return cdist(d, d, "chebyshev"), cdist(d.T, d.T, "chebyshev")
+    return _sup_gaps(d), _sup_gaps(np.ascontiguousarray(d.T))
 
 
-def _nan_gaps(d: np.ndarray) -> np.ndarray:
-    """Pairwise sup-norm gaps between rows of d in which a NaN difference
-    counts as +inf, one row at a time, so memory stays O(n^2)."""
-    out = np.empty((len(d), len(d)))
-    for i, row in enumerate(d):
-        g = np.abs(row - d)
-        out[i] = np.where(np.isnan(g), np.inf, g).max(axis=1)
-    return out
+# coordinates in the filtering block of validate's distinguishing pass
+TWIN_BLOCK = 16
+
+
+def _twins(f: np.ndarray, tol: float
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs i < j whose rows and columns of f are within tol in the sup
+    norm, and that gap.  A NaN difference counts as +inf when f holds a
+    NaN; otherwise one from inf - inf is skipped, as cdist skips it.
+
+    The gap over each point's first TWIN_BLOCK row and column coordinates
+    (NaN differences skipped) bounds its gap from below; only the pairs it
+    leaves within tol are measured in full, n/4 at a time: O(n^2) memory.
+    """
+    n = len(f)
+    both = np.hstack([f, f.T])  # row i: the row, then the column of i
+    low = pdist(np.hstack([f[:, :TWIN_BLOCK], f.T[:, :TWIN_BLOCK]]),
+                "chebyshev")
+    i, j = (v[low <= tol] for v in np.triu_indices(n, 1))
+    nan = np.inf if np.isnan(f).any() else 0.0
+    gap = np.empty(len(i))
+    step = n // 4 + 1
+    for s in range(0, len(i), step):
+        g = np.abs(both[i[s:s + step]] - both[j[s:s + step]])
+        g[np.isnan(g)] = nan
+        gap[s:s + step] = g.max(axis=1, initial=0.0)
+    near = gap <= tol
+    return i[near], j[near], gap[near]
 
 
 def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -242,11 +274,15 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
     `tol` is the slack for the float checks: a reverse-triangle defect is
     flagged only beyond tol, rows/columns within tol count as identical,
     and |entry| <= tol counts as zero for boundary detection.  Exact
-    payloads ignore tol.
+    payloads ignore tol; a NaN tol raises ValueError.
 
-    Fraction payloads are exact: float64 filter, exact refinement.  The
-    float passes flag a superset of the defects, each decided exactly.
+    The reverse-triangle pass visits for each j only its past x future;
+    the distinguishing pass measures in full only the pairs within tol on
+    a first block of coordinates.  The report is that of the full O(n^3)
+    comparisons.  Fraction payloads are exact: float64 filter, exact
+    refinement, each flagged defect decided exactly.
     """
+    _check_tol(tol)
     d = c.d if isinstance(c, Causet) else _as_matrix(c)
     exact = d.dtype == object
     # Fraction payloads: a float filter widened by f's bound, exact decisions
@@ -279,20 +315,11 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
                     out.append(Violation("reverse-triangle", (i, j, k),
                                          float(d[i, j] + d[j, k] - d[i, k])))
 
-        if np.isnan(f).any():
-            # cdist's chebyshev skips NaN coordinates; a NaN must instead
-            # make the pair distinguishable, like the naive |gap| <= tol
-            rowgap, colgap = _nan_gaps(f), _nan_gaps(f.T)
-        else:
-            # equal Fractions have equal images, whose gaps are 0 or, from
-            # inf - inf, skipped: every exact twin is flagged
-            rowgap, colgap = _chebyshev_gaps(f)
-        indist = (rowgap <= tol) & (colgap <= tol)
-        for i, j in np.argwhere(np.triu(indist, 1)):
+        for i, j, gap in zip(*_twins(f, tol)):
             if not exact or ((d[i] == d[j]).all()
                              and (d[:, i] == d[:, j]).all()):
                 out.append(Violation("distinguishing", (int(i), int(j)),
-                                     float(max(rowgap[i, j], colgap[i, j]))))
+                                     float(gap)))
 
         zero = np.abs(d) <= tol
         zi = np.flatnonzero(zero.all(axis=1) & zero.all(axis=0))
@@ -435,8 +462,7 @@ def distance_quotient(m: Causet | np.ndarray, tol: float = 0.0
             else:
                 seen[key] = i
     else:
-        rowgap, colgap = _chebyshev_gaps(c.as_float())
-        for i, j in np.argwhere(np.triu((rowgap <= tol) & (colgap <= tol), 1)):
+        for i, j in zip(*_twins(c.as_float(), tol)[:2]):
             uf.union(int(i), int(j))
 
     reps: list[int] = []

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .causet import Causet
+from .causet import Causet, _check_tol
 
 __all__ = [
     "SidePoint",
@@ -276,7 +276,7 @@ def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
     each side-parameter pair, host points on the two sides are collected;
     with no candidates the check is vacuous.  A lower curvature bound asks
     for some pair with d(p, q) <= model + tol, an upper bound for some
-    pair with d(p, q) >= model - tol.
+    pair with d(p, q) >= model - tol.  A NaN tol raises ValueError.
 
     Hosts of more than 64 points with a `max_triangles` cap are sampled by
     seeded rejection over index triples, within a budget of
@@ -289,6 +289,7 @@ def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
         raise ValueError("only the flat model k = 0 is implemented")
     if bound not in ("lower", "upper"):
         raise ValueError(f"bound must be 'lower' or 'upper', got '{bound}'")
+    _check_tol(tol)
     params = tuple(side_params) if side_params is not None else _DEFAULT_PARAMS
     d = host.as_float()
     n = host.n

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .causet import Causet, _chebyshev_gaps
+from .causet import Causet, _chebyshev_gaps, _sup_gaps
 
 __all__ = [
     "GammaMatrix",
@@ -62,24 +61,17 @@ class GammaMatrix:
 def gamma(c: Causet) -> GammaMatrix:
     """Distinction metric of every pair, by direct sup enumeration.
 
-    Exact symmetry is enforced by mirroring the upper triangle.
+    Each unordered pair is visited once, over every row and column
+    coordinate, and mirrored, so g is exactly symmetric with a zero
+    diagonal; the bytes are those of the full ordered-pair comparison.
     """
-    d = c.as_float()
-    rowgap, colgap = _chebyshev_gaps(d)
-    g = np.maximum(rowgap, colgap)
-    g = np.triu(g, 1)
-    g = g + g.T
-    return GammaMatrix(c.labels, g)
+    return GammaMatrix(c.labels, np.maximum(*_chebyshev_gaps(c.as_float())))
 
 
 def noldus(c: Causet) -> GammaMatrix:
     """Strong metric D(x,y) = sup_z |d(z,x) + d(x,z) - d(z,y) - d(y,z)|."""
     d = c.as_float()
-    s = d.T + d  # s[x, z] = d(z, x) + d(x, z)
-    g = cdist(s, s, "chebyshev")
-    g = np.triu(g, 1)
-    g = g + g.T
-    return GammaMatrix(c.labels, g)
+    return GammaMatrix(c.labels, _sup_gaps(d.T + d))
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,9 +43,9 @@ class ExperimentConfig:
             raise ValueError("size ladder must be nonempty")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError("size ladder must be strictly increasing")
-        if self.eps <= 0:
+        if not self.eps > 0:  # NaN fails too
             raise ValueError("eps must be positive")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if len(self.radii) < 3 or any(r <= 0 for r in self.radii):
             raise ValueError("need at least three positive radii")

@@ -224,15 +224,19 @@ def _greedy_once(da, db, x_order, y_order, mismatch, table):
     m, n = len(da), len(db)
     xs = np.concatenate([np.arange(m), np.zeros(n, dtype=int)])
     ys = np.concatenate([np.zeros(m, dtype=int), np.arange(n)])
-    sides = ((da, db, xs, ys, mismatch), (db, da, ys, xs, mismatch.T))
+    selfc = np.abs(da.diagonal()[:, None] - db.diagonal())  # [x, y]
+    sides = ((da, db, xs, ys, mismatch, selfc),
+             (db, da, ys, xs, mismatch.T, selfc.T))
 
     # each slot takes the image cheapest against the slots filled before
-    # it; ties go to the smaller profile mismatch, then the smaller index
+    # it and itself; ties go to the smaller profile mismatch, then the
+    # smaller index
     slots = np.concatenate([x_order, np.add(y_order, m)]).tolist()
     for t, k in enumerate(slots):
-        dp, dq, ps, qs, mis = sides[k >= m]
+        dp, dq, ps, qs, mis, sc = sides[k >= m]
         done = slots[:t]
-        cost = _costs(dp, dq, ps[done], qs[done], ps[k])
+        cost = np.maximum(_costs(dp, dq, ps[done], qs[done], ps[k]),
+                          sc[ps[k]])
         qs[k] = np.lexsort((mis[ps[k]], cost))[0]
 
     # local search: re-pick one slot at a time while it helps; the score
@@ -255,7 +259,7 @@ def _greedy_once(da, db, x_order, y_order, mismatch, table):
             # latter equals best and no image can score below it
             if max(table[pairs[k], rest].max(), selfw[pairs[k]]) < best:
                 continue
-            _, _, ps, qs, _ = sides[k >= m]
+            _, _, ps, qs, _, _ = sides[k >= m]
             cand = _slot_pairs(m, n, k, ps[k])
             score = np.maximum(table[cand][:, rest].max(axis=1), selfw[cand])
             score = np.maximum(score, table[rest][:, rest].max())
@@ -322,7 +326,8 @@ def _branch_and_bound(da, db, x_order, y_order, mismatch, table, incumbent,
     Returns (value, (f, g), completed, nodes_used).  The partial
     distortion only grows as pairs are added, so any node at or above the
     incumbent is cut.  Depth t assigns the pair (xs[t], ys[t]); reach[P]
-    is the largest table entry between the pair P and the assigned pairs.
+    is the largest table entry between the pair P and the assigned pairs
+    or P itself (the self term |da[x, x] - db[y, y]|).
     """
     m, n = len(da), len(db)
     xs = np.concatenate([x_order, np.zeros(n, dtype=int)])
@@ -363,7 +368,7 @@ def _branch_and_bound(da, db, x_order, y_order, mismatch, table, incumbent,
             if over:
                 return
 
-    dfs(0, 0.0, np.zeros(m * n))
+    dfs(0, 0.0, table.diagonal())
     return best, fg, not over, nodes
 
 

@@ -265,8 +265,9 @@ def rationalize(c: Causet, eps: float) -> Causet:
 
     slack = _min_slack(d1, pos)
     p_min = min(d1[pos])
-    if slack <= 0:
-        raise AssertionError("stage-one perturbation failed to be strict")
+    if slack <= 0:  # stage one makes every valid input strictly slack
+        raise ValueError("input causet breaks the reverse triangle "
+                         f"inequality (stage-one slack {float(slack)})")
     margin = min(eps_f / 2, alpha / 8, p_min / 2, slack / 4)
 
     out = d1.copy()

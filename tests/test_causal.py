@@ -16,8 +16,9 @@ from lorentzmet import (
     time_function_normalized,
 )
 from lorentzmet.causal import Chain
-from lorentzmet.diamond import causet_from_points, diamond_distance
-from helpers import random_valid_matrix
+from lorentzmet.diamond import (DiamondSpace, SampleSpec, causet_from_points,
+                                 diamond_distance, sample_causet)
+from helpers import oracle_causal_relation, random_valid_matrix, wild_matrix
 
 
 CHAIN2 = Causet.from_matrix([[0.0, 1.0], [0.0, 0.0]])
@@ -61,6 +62,45 @@ def test_causal_relation_properties(small_corpus):
         # antisymmetric on a distinguishing space
         both = m & m.T & ~np.eye(n, dtype=bool)
         assert not both.any()
+
+
+WILD_TOLS = (0.0, 1e-9, 0.1, -0.1, np.inf, -np.inf)
+
+
+def _first_break(j, pts):
+    """The first pair (pts[i], pts[k]), i < k, outside J, else None."""
+    return next(((p, q) for i, p in enumerate(pts) for q in pts[i + 1:]
+                 if not j[p, q]), None)
+
+
+def test_causal_relation_and_is_chain_match_full_comparison():
+    # light-cone J against the dense per-point loop: NaN, +-inf, negative
+    # entries and ties, at tolerances that empty or fill the cones
+    rng = np.random.default_rng(5)
+    cases = [wild_matrix(rng, int(rng.integers(0, 14))) for _ in range(300)]
+    cases += [sample_causet(DiamondSpace(), SampleSpec(count=60, seed=s)).d
+              for s in range(3)]
+    with np.errstate(invalid="ignore"):
+        for d in cases:
+            c = Causet.from_matrix(d)
+            for tol in WILD_TOLS:
+                want = oracle_causal_relation(d, tol)
+                assert causal_relation(c, tol).matrix.tobytes() == want.tobytes()
+                if not c.n:
+                    continue
+                pts = [int(p) for p in
+                       rng.permutation(c.n)[:int(rng.integers(1, c.n + 1))]]
+                got = is_chain(c, pts, tol)
+                brk = _first_break(want, pts)
+                assert got == brk if brk else isinstance(got, Chain)
+
+
+def test_nan_tol_is_rejected():
+    for call in (lambda: causal_relation(ADDITIVE3, np.nan),
+                 lambda: is_chain(ADDITIVE3, [0, 1], np.nan),
+                 lambda: is_chain(ADDITIVE3, [0, 0], np.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            call()
 
 
 def test_strict_j_orders_time_function(small_corpus):

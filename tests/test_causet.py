@@ -22,10 +22,10 @@ from lorentzmet import (
     strip_boundary,
     validate,
 )
-from lorentzmet.causet import BoundaryError, _nan_gaps
-from helpers import (corrupt, oracle_slack, oracle_validate_exact,
-                     oracle_violations, random_fraction_matrix,
-                     random_valid_matrix)
+from lorentzmet.causet import DEFAULT_TOL, TWIN_BLOCK, BoundaryError
+from helpers import (corrupt, nan_gaps, oracle_distinguishing, oracle_slack,
+                     oracle_validate_exact, oracle_violations,
+                     random_fraction_matrix, random_valid_matrix, wild_matrix)
 
 
 CHAIN2 = [[0.0, 1.0], [0.0, 0.0]]
@@ -130,7 +130,70 @@ def test_validate_nan_branch_memory_is_quadratic():
     with np.errstate(invalid="ignore"):
         gaps = np.abs(f[:, None, :] - f[None, :, :])
         want = np.where(np.isnan(gaps), np.inf, gaps).max(axis=2)
-        assert np.array_equal(_nan_gaps(f), want)
+        assert np.array_equal(nan_gaps(f), want)
+
+
+def _distinguishing(rep):
+    return [v for v in rep.violations if v.kind == "distinguishing"]
+
+
+def test_validate_matches_full_comparison_on_nan_and_inf_payloads():
+    # the filtered distinguishing pass against the full gap matrices, both
+    # below and past the filter's first block (sparse there, with many
+    # pairs surviving the block); on small matrices the other kinds
+    # against the per-entry loops
+    rng = np.random.default_rng(12)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for t in range(300):
+            small = t % 2
+            d = wild_matrix(rng, int(rng.integers(0, 12)) if small else
+                            int(rng.integers(TWIN_BLOCK, 3 * TWIN_BLOCK)),
+                            0.5 if small else 0.05)
+            for tol in (0.0, 1e-9, 0.6, -0.1, np.inf):
+                rep = validate(d, tol)
+                assert _distinguishing(rep) == oracle_distinguishing(d, tol)
+                if small:
+                    others = {(v.kind, v.witness) for v in rep.violations
+                              if v.kind != "distinguishing"}
+                    assert others == {v for v in oracle_violations(d, tol)
+                                      if v[0] != "distinguishing"}
+
+
+def test_validate_nan_is_never_within_tol():
+    # twins but for a NaN coordinate: a NaN entry anywhere makes a NaN
+    # difference +inf, so they are distinct; inf - inf alone is skipped
+    d = np.zeros((TWIN_BLOCK + 4, TWIN_BLOCK + 4))
+    d[:2, -1] = np.inf
+    assert _distinguishing(validate(d, 0.5))[0].witness == (0, 1)
+    d[0, -1] = np.nan
+    got = {v.witness for v in _distinguishing(validate(d, 0.5))}
+    assert (0, 1) not in got and (1, 2) not in got and (2, 3) in got
+
+
+def test_distinguishing_pass_memory_when_every_pair_survives_the_filter():
+    # the first TWIN_BLOCK points have zero rows and columns, so every pair
+    # agrees on the filter's block and goes on to the full measurement
+    n = 300
+    idx = np.arange(n, dtype=float)
+    d = np.maximum(idx[None, :] - idx[:, None], 0.0)
+    d[:TWIN_BLOCK] = 0.0
+    d[:, :TWIN_BLOCK] = 0.0
+    tracemalloc.start()
+    try:
+        rep = validate(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * n * n
+    assert _distinguishing(rep) == oracle_distinguishing(d, DEFAULT_TOL)
+    assert len(_distinguishing(rep)) == TWIN_BLOCK * (TWIN_BLOCK - 1) // 2
+
+
+def test_validate_rejects_nan_tol():
+    # a NaN tol would compare False everywhere and pass an invalid matrix
+    bad = Causet.from_matrix([[0, 1, 1.5], [0, 0, 1], [0, 0, 0]])
+    with pytest.raises(ValueError, match="NaN"):
+        validate(bad, tol=float("nan"))
 
 
 def test_validate_tolerance_absorbs_small_defects():

@@ -13,6 +13,7 @@ import pytest
 
 from lorentzmet import Causet
 from lorentzmet.cli import main
+from lorentzmet.experiments import ExperimentConfig
 
 CHAIN = Causet.from_matrix([[0.0, 1.0], [0.0, 0.0]])
 CHAIN_125 = Causet.from_matrix([[0.0, 1.25], [0.0, 0.0]])
@@ -204,6 +205,14 @@ def test_rationalize_domain_error_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_rationalize_reverse_triangle_break_exits_1(tmp_path, capsys):
+    broken = Causet.from_matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    assert main(["rationalize", write_causet(tmp_path, broken, "b.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "reverse triangle" in err
+    assert "Traceback" not in err
+
+
 def test_rationalize_non_finite_entry_exits_1(tmp_path, capsys):
     p = tmp_path / "inf.json"
     p.write_text('{"kind": "causet", "n": 2, "d": [[0, Infinity], [0, 0]]}')
@@ -275,6 +284,12 @@ def test_experiment_csv_with_config_on_stderr(capsys):
     cfg = json.loads(err)
     assert cfg["config"]["kind"] == "limit"
     assert cfg["config"]["sizes"] == [25, 50, 100]
+
+
+def test_experiment_config_rejects_nan():
+    for kw in ({"eps": float("nan")}, {"tol": float("nan")}):
+        with pytest.raises(ValueError, match="must be positive"):
+            ExperimentConfig(kind="limit", **kw)
 
 
 def test_experiment_deterministic(capsys):

@@ -104,6 +104,8 @@ def test_check_input_validation():
         check_curvature_bound(VIOLATION_HOST, k=1.0)
     with pytest.raises(ValueError, match="bound must be"):
         check_curvature_bound(VIOLATION_HOST, bound="sideways")
+    with pytest.raises(ValueError, match="NaN"):
+        check_curvature_bound(VIOLATION_HOST, tol=float("nan"))
 
 
 def test_lower_bound_violation_witness():

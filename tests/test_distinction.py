@@ -19,7 +19,10 @@ from lorentzmet.distinction import (
     kuratowski_distance,
     kuratowski_embed,
 )
-from helpers import random_valid_matrix
+from lorentzmet.causet import _chebyshev_gaps
+from lorentzmet.diamond import DiamondSpace, SampleSpec, sample_causet
+from helpers import (oracle_chebyshev_gaps, oracle_gamma, random_valid_matrix,
+                     wild_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +111,17 @@ def test_hausdorff_gamma():
         hausdorff_gamma(c, [1], [0, 2], g=g)
     with pytest.raises(ValueError):
         hausdorff_gamma(c, [], [1])
+
+
+def test_gamma_bytes_match_ordered_pair_oracle():
+    # one pdist per side against cdist over ordered pairs plus the mirror
+    rng = np.random.default_rng(8)
+    cases = [wild_matrix(rng, int(rng.integers(0, 30))) for _ in range(200)]
+    cases += [sample_causet(DiamondSpace(), SampleSpec(count=150, seed=s)).d
+              for s in range(2)]
+    for d in cases:
+        if len(d):
+            assert gamma(Causet.from_matrix(d)).g.tobytes() == \
+                oracle_gamma(d).tobytes()
+        got, want = _chebyshev_gaps(d), oracle_chebyshev_gaps(d)
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]

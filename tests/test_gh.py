@@ -123,6 +123,23 @@ def test_gh_exact_matches_enumeration_oracle():
         assert gh_exact(a, b).exact == oracle_gh(a, b)
 
 
+def test_gh_exact_counts_the_self_term():
+    # nonzero diagonals: a pair that appears once in the correspondence
+    # still costs |d_a(x, x) - d_b(y, y)|, in B&B and in the warm start
+    a = Causet.from_matrix([[2, 0], [1, 2]])
+    b = Causet.from_matrix([[0, 1, 2], [1, 1, 2], [1, 2, 2]])
+    r = gh_exact(a, b)
+    assert r.method == "exact"
+    assert r.exact == distortion(r.witness, a, b) == oracle_gh(a, b) == 2.0
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        m, n = (int(v) for v in rng.integers(1, 4, size=2))
+        a = Causet.from_matrix(rng.integers(0, 3, (m, m)) * 0.5)
+        b = Causet.from_matrix(rng.integers(0, 3, (n, n)) * 0.5)
+        r = gh_exact(a, b)
+        assert r.exact == distortion(r.witness, a, b) == oracle_gh(a, b)
+
+
 def test_gh_exact_budget_and_size_fallbacks():
     rng = np.random.default_rng(8)
     a = random_valid_matrix(rng, 5)

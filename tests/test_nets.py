@@ -206,6 +206,14 @@ def test_rationalize_rejects_non_finite_entries():
             rationalize(Causet.from_matrix(d), eps=1e-3)
 
 
+def test_rationalize_rejects_reverse_triangle_break():
+    # d(0, 2) = 0 below d(0, 1) + d(1, 2): no perturbation of the positive
+    # entries makes the triangle strict
+    broken = Causet.from_matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    with pytest.raises(ValueError, match="reverse triangle"):
+        rationalize(broken, eps=1e-3)
+
+
 def test_rationalize_rejects_chronological_cycle():
     loop = Causet.from_matrix([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="cycle"):
