@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .causet import Causet, _check_tol
+from .causet import Causet, _check_tol, _ordering
 
 __all__ = [
     "CausalRelation",
@@ -110,25 +110,13 @@ class TimeFunction:
 
 
 def _tau_base(c: Causet, ordering: Sequence[int] | None):
-    n = c.n
-    if ordering is None:
-        ordering = list(range(n))
-    else:
-        ordering = list(ordering)
-        if sorted(ordering) != list(range(n)):
-            raise ValueError("ordering must be a permutation of all points")
-    if c.is_rational:
-        w = [Fraction(1, 2 ** (k + 1)) for k in range(n)]
-        base = [Fraction(1, 2) * sum(
-            (w[k] * (c.d[s, x] - c.d[x, s]) for k, s in enumerate(ordering)),
-            Fraction(0)) for x in range(n)]
-        return np.array(base, dtype=object), np.array(w, dtype=object), tuple(ordering)
-    d = c.as_float()
-    w = 0.5 ** np.arange(1, n + 1)
-    s = np.asarray(ordering)
-    incoming = w @ d[s, :]        # sum_n w_n d(s_n, x)
-    outgoing = d[:, s] @ w        # sum_n w_n d(x, s_n)
-    return 0.5 * (incoming - outgoing), w, tuple(ordering)
+    n, ordering = c.n, _ordering(c.n, ordering)
+    # exact weights on a Fraction payload, so object arithmetic stays exact
+    w = np.array([Fraction(1, 2 ** k) for k in range(1, n + 1)], dtype=object) \
+        if c.is_rational else 0.5 ** np.arange(1, n + 1)
+    s = np.array(ordering, dtype=int)
+    # sum_n w_n d(s_n, x) - sum_n w_n d(x, s_n), halved
+    return (w @ c.d[s, :] - c.d[:, s] @ w) / 2, w, tuple(ordering)
 
 
 def time_function(c: Causet, ordering: Sequence[int] | None = None,

@@ -226,6 +226,14 @@ def _check_tol(tol) -> None:
         raise ValueError("tol must not be NaN")
 
 
+def _ordering(n: int, ordering: Sequence[int] | None) -> list[int]:
+    """The identity order of n points, or ordering checked to permute them."""
+    ordering = list(range(n)) if ordering is None else list(ordering)
+    if sorted(ordering) != list(range(n)):
+        raise ValueError("ordering must be a permutation of all points")
+    return ordering
+
+
 def _sup_gaps(m: np.ndarray) -> np.ndarray:
     """Sup-norm gap of every two rows of m (contiguous: pdist is several
     times slower on a strided view); NaN differences are skipped."""

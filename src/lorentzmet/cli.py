@@ -1,7 +1,10 @@
 """Command-line front door: JSON in, JSON or CSV out.
 
 Exit codes: 0 on success, 1 on a domain error (valid input, impossible
-request), 2 on a usage error (bad flags, malformed files).
+request), 2 on a usage error (bad flags, malformed files).  A reader that
+closes stdout early (`| head`) ends the command quietly with exit code 1,
+as in the Python documentation's recipe for SIGPIPE.  NaN and infinite
+values are written as JSON null.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .causet import BoundaryError, Causet, validate
@@ -69,7 +73,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True), out)
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # JSON has no NaN or Infinity: write null instead
+        obj = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+        text = json.dumps(obj, indent=2, sort_keys=True)
+    _emit(text, out)
 
 
 def cmd_validate(args) -> None:
@@ -242,6 +251,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # stdout is gone: point it at devnull so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -18,13 +18,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .causet import Causet, _chebyshev_gaps, _sup_gaps
+from .causet import Causet, _chebyshev_gaps, _ordering
 
 __all__ = [
     "GammaMatrix",
     "KuratowskiVector",
     "gamma",
-    "noldus",
     "kuratowski_embed",
     "kuratowski_distance",
     "gamma_ball",
@@ -68,12 +67,6 @@ def gamma(c: Causet) -> GammaMatrix:
     return GammaMatrix(c.labels, np.maximum(*_chebyshev_gaps(c.as_float())))
 
 
-def noldus(c: Causet) -> GammaMatrix:
-    """Strong metric D(x,y) = sup_z |d(z,x) + d(x,z) - d(z,y) - d(y,z)|."""
-    d = c.as_float()
-    return GammaMatrix(c.labels, _sup_gaps(d.T + d))
-
-
 @dataclass(frozen=True, eq=False)
 class KuratowskiVector:
     """Distance profiles of one point over a reference ordering."""
@@ -95,17 +88,9 @@ def kuratowski_embed(c: Causet, ordering: Sequence[int] | None = None
 
     The sup-norm distance between images equals gamma on the source.
     """
-    n = c.n
-    if ordering is None:
-        ordering = list(range(n))
-    else:
-        ordering = list(ordering)
-        if sorted(ordering) != list(range(n)):
-            raise ValueError("ordering must be a permutation of all points")
-    d = c.as_float()
-    s = np.asarray(ordering)
+    d, s = c.as_float(), np.array(_ordering(c.n, ordering), dtype=int)
     return [KuratowskiVector(x, d[x, s].copy(), d[s, x].copy())
-            for x in range(n)]
+            for x in range(c.n)]
 
 
 def gamma_ball(c: Causet, center: int, r: float, closed: bool = True,

@@ -167,18 +167,6 @@ def _variance_order(d: np.ndarray) -> list:
     return list(np.argsort(-d.var(axis=1), kind="stable"))
 
 
-def _costs(dp, dq, ps, qs, p) -> np.ndarray:
-    """Cost of adding the pair (p, q) to the pairs (ps[k], qs[k]), for every q.
-
-    Entry q is max over k of |dp[p, ps_k] - dq[q, qs_k]| and
-    |dp[ps_k, p] - dq[qs_k, q]|, 0.0 without pairs.  Called as (db, da, ys,
-    xs, y) it scores every x for a slot y: |u - v| and |v - u| are equal.
-    """
-    out = np.abs(dp[p, ps] - dq[:, qs])
-    back = np.abs(dp[ps, p] - dq[qs].T)
-    return np.maximum(out, back).max(axis=1, initial=0.0)
-
-
 def _dis(da, db, xs, ys):
     """Distortion of the pairs (xs[k], ys[k]), over ordered pairs of pairs.
 
@@ -194,18 +182,28 @@ def _dis(da, db, xs, ys):
 TABLE_MAX_POINTS = 80
 
 
-def _pair_table(da, db) -> np.ndarray:
-    """Distortion of every two pairs: w[x n + y, x' n + y'] is the larger of
-    |da[x, x'] - db[y, y']| and |da[x', x] - db[y', y]|.
+def _pair_rows(da, db, x, y) -> np.ndarray:
+    """Distortion between the pair (x, y) and every pair: w[x n + y, x' n + y']
+    is the larger of |da[x, x'] - db[y, y']| and |da[x', x] - db[y', y]|.
 
-    Both searches that revisit pairs read it instead of calling _costs; the
-    entries are the same floats, as |u - v| and |v - u| are equal and max
-    is exact.  Peak memory is twice the table.
+    x and y are indices or equal-length index arrays (one row per pair);
+    the diagonal entry w[P, P] is the self term |da[x, x] - db[y, y]|.
+    Peak memory is twice the rows.
     """
-    m, n = len(da), len(db)
-    w = da[:, None, :, None] - db[None, :, None, :]
-    w = np.abs(w, out=w).reshape(m * n, m * n)
-    return np.maximum(w, w.T)
+    def gap(a, b):  # |a[x, x'] - b[y, y']| at [..., x', y']
+        g = a[x, :, None] - b[y, None, :]
+        return np.abs(g, out=g)
+
+    w = gap(da, db)
+    np.maximum(w, gap(da.T, db.T), out=w)
+    return w.reshape(*np.shape(x), len(da) * len(db))
+
+
+def _pair_table(da, db) -> np.ndarray:
+    """_pair_rows of every pair, 8 (m n)^2 bytes: the searches that revisit
+    pairs read it instead of recomputing their rows."""
+    return _pair_rows(da, db, *np.divmod(np.arange(len(da) * len(db)),
+                                         len(db)))
 
 
 def _slot_pairs(m, n, k, p):
@@ -218,26 +216,26 @@ def _greedy_once(da, db, x_order, y_order, mismatch, table):
     """One greedy construction of (f, g), then first-improvement polish if
     the pair table is given.
 
-    Slot k < m holds the pair (k, f(k)) and slot m + y the pair (g(y), y);
-    the kernel scores a y slot with its arguments swapped.
+    Slot k < m holds the pair (k, f(k)) and slot m + y the pair (g(y), y).
+    As in _branch_and_bound, reach[P] is the largest pair distortion between
+    P and the filled slots or P itself; each filled slot adds its row, read
+    from the table if there is one, else from _pair_rows.
     """
     m, n = len(da), len(db)
     xs = np.concatenate([np.arange(m), np.zeros(n, dtype=int)])
     ys = np.concatenate([np.zeros(m, dtype=int), np.arange(n)])
-    selfc = np.abs(da.diagonal()[:, None] - db.diagonal())  # [x, y]
-    sides = ((da, db, xs, ys, mismatch, selfc),
-             (db, da, ys, xs, mismatch.T, selfc.T))
+    sides = ((xs, ys, mismatch), (ys, xs, mismatch.T))  # fixed, free point
+    selfw = reach = np.abs(da.diagonal()[:, None] - db.diagonal()).ravel()
 
-    # each slot takes the image cheapest against the slots filled before
-    # it and itself; ties go to the smaller profile mismatch, then the
-    # smaller index
-    slots = np.concatenate([x_order, np.add(y_order, m)]).tolist()
-    for t, k in enumerate(slots):
-        dp, dq, ps, qs, mis, sc = sides[k >= m]
-        done = slots[:t]
-        cost = np.maximum(_costs(dp, dq, ps[done], qs[done], ps[k]),
-                          sc[ps[k]])
-        qs[k] = np.lexsort((mis[ps[k]], cost))[0]
+    # each slot takes the image of least reach; ties go to the smaller
+    # profile mismatch, then the smaller index
+    for k in np.concatenate([x_order, np.add(y_order, m)]).tolist():
+        fixed, free, mis = sides[k >= m]
+        cost = reach[_slot_pairs(m, n, k, fixed[k])]
+        free[k] = np.lexsort((mis[fixed[k]], cost))[0]
+        row = _pair_rows(da, db, xs[k], ys[k]) if table is None \
+            else table[xs[k] * n + ys[k]]
+        reach = np.maximum(reach, row)
 
     # local search: re-pick one slot at a time while it helps; the score
     # of every image for slot k is the distortion with slot k set to it,
@@ -247,7 +245,6 @@ def _greedy_once(da, db, x_order, y_order, mismatch, table):
     if table is None:
         return best, ys[:m].tolist(), xs[m:].tolist()
     pairs = xs * n + ys
-    selfw = table.diagonal()
     keep = np.arange(m + n - 1)
     others = keep + (keep >= np.arange(m + n)[:, None])  # row k skips k
     for _ in range(8):
@@ -259,16 +256,16 @@ def _greedy_once(da, db, x_order, y_order, mismatch, table):
             # latter equals best and no image can score below it
             if max(table[pairs[k], rest].max(), selfw[pairs[k]]) < best:
                 continue
-            _, _, ps, qs, _, _ = sides[k >= m]
-            cand = _slot_pairs(m, n, k, ps[k])
+            fixed, free, _ = sides[k >= m]
+            cand = _slot_pairs(m, n, k, fixed[k])
             score = np.maximum(table[cand][:, rest].max(axis=1), selfw[cand])
             score = np.maximum(score, table[rest][:, rest].max())
-            cur = qs[k]
+            cur = free[k]
             for q, v in enumerate(score.tolist()):
                 if q != cur and v < best - 1e-15:
                     best, cur = score[q] or 0.0, q
                     improved = True
-            qs[k] = cur
+            free[k] = cur
             pairs[k] = xs[k] * n + ys[k]
         if not improved:
             break

@@ -302,7 +302,8 @@ def limit_causet(seq: Sequence[Causet], tol: float = 0.05) -> Causet:
     tail = stack[tail_start:]
     positions = np.arange(tail_start + 1, m_count + 1, dtype=float)
 
-    spread = tail.max(axis=0) - tail.min(axis=0)
+    hi, lo = tail.max(axis=0), tail.min(axis=0)
+    spread = hi - lo
     bad = np.argwhere(spread > tol)
     if len(bad):
         i, j = bad[0]
@@ -310,16 +311,14 @@ def limit_causet(seq: Sequence[Causet], tol: float = 0.05) -> Causet:
             f"entry ({int(i)}, {int(j)}) is not Cauchy within tol: "
             f"tail spread {float(spread[i, j])}")
 
-    limit = np.empty((n, n))
+    # a constant entry (+-inf too) is its own limit and enters the one fit
+    # of all entries as 0: LAPACK scales every column by the largest entry
+    const = hi == lo
     design = np.column_stack([np.ones_like(positions), 1.0 / positions])
-    for i in range(n):
-        for j in range(n):
-            vals = tail[:, i, j]
-            if vals.max() == vals.min():
-                limit[i, j] = vals[0]
-                continue
-            coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-            limit[i, j] = max(coef[0], 0.0)
+    coef = np.linalg.lstsq(design, np.where(const, 0.0, tail).reshape(
+        len(tail), n * n), rcond=None)[0][0].reshape(n, n)
+    # max(coef, 0.0) as Python computes it, NaN and -0.0 kept
+    limit = np.where(const, tail[0], np.where(coef < 0, 0.0, coef))
 
     # a merge can bring two representatives within tol: repeat to a fixpoint
     out, _ = distance_quotient(Causet(labels, limit), tol=tol)

@@ -131,6 +131,13 @@ def oracle_gamma(d: np.ndarray) -> np.ndarray:
     return g + g.T
 
 
+def oracle_noldus(d: np.ndarray) -> np.ndarray:
+    """Noldus strong metric D(x, y) = sup_z |d(z,x) + d(x,z) - d(z,y) - d(y,z)|,
+    the sup-norm gap between rows of d + d^T."""
+    s = d.T + d
+    return cdist(s, s, "chebyshev")
+
+
 def nan_gaps(d: np.ndarray) -> np.ndarray:
     """Pairwise sup-norm gaps between rows of d in which a NaN difference
     counts as +inf, one row at a time, so memory stays O(n^2)."""
@@ -724,3 +731,43 @@ def oracle_gh_exact(da, db, max_exact_size=6, node_budget=None):
     if completed:
         return value, value, value, "exact", pairs
     return oracle_lower_bound(da, db), value, None, "branch-bound", pairs
+
+
+# -- time function and limit oracles ---------------------------------------
+# The code these replaced: a per-dtype time function and a per-entry fit.
+
+def oracle_tau_base(c: Causet, ordering=None):
+    """time_function's values at alpha = 1, beta = 0: a Fraction sum per
+    point on a rational payload, two float products otherwise."""
+    n = c.n
+    ordering = list(range(n)) if ordering is None else list(ordering)
+    if c.is_rational:
+        w = [Fraction(1, 2 ** (k + 1)) for k in range(n)]
+        return np.array([Fraction(1, 2) * sum(
+            (w[k] * (c.d[s, x] - c.d[x, s]) for k, s in enumerate(ordering)),
+            Fraction(0)) for x in range(n)], dtype=object)
+    d = c.as_float()
+    w = 0.5 ** np.arange(1, n + 1)
+    s = np.asarray(ordering, dtype=int)
+    return 0.5 * (w @ d[s, :] - d[:, s] @ w)
+
+
+def oracle_limit_matrix(seq) -> np.ndarray:
+    """limit_causet's fitted matrix before the quotient: per entry, the tail
+    value if constant, else max(a, 0) of one least-squares fit a + b/m."""
+    stack = np.stack([c.as_float() for c in seq])
+    m_count, n = len(seq), stack.shape[1]
+    tail_start = m_count // 2 if m_count >= 6 else 0
+    tail = stack[tail_start:]
+    positions = np.arange(tail_start + 1, m_count + 1, dtype=float)
+    design = np.column_stack([np.ones_like(positions), 1.0 / positions])
+    limit = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            vals = tail[:, i, j]
+            if vals.max() == vals.min():
+                limit[i, j] = vals[0]
+                continue
+            coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
+            limit[i, j] = max(coef[0], 0.0)
+    return limit

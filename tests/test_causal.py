@@ -18,7 +18,8 @@ from lorentzmet import (
 from lorentzmet.causal import Chain
 from lorentzmet.diamond import (DiamondSpace, SampleSpec, causet_from_points,
                                  diamond_distance, sample_causet)
-from helpers import oracle_causal_relation, random_valid_matrix, wild_matrix
+from helpers import (oracle_causal_relation, oracle_tau_base,
+                     random_valid_matrix, wild_matrix)
 
 
 CHAIN2 = Causet.from_matrix([[0.0, 1.0], [0.0, 0.0]])
@@ -128,6 +129,31 @@ def test_time_function_exact_on_rational_payload():
     tau = time_function(Causet.from_matrix(m))
     assert tau.values[0] == Fraction(-1, 8)
     assert tau.values[1] == Fraction(1, 4)
+
+
+def _rational(d: np.ndarray) -> Causet:
+    q = np.empty(d.shape, dtype=object)
+    q[...] = [[Fraction(v).limit_denominator(97) for v in row] for row in d]
+    return Causet(tuple(f"p{k}" for k in range(len(d))), q)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 40])
+def test_time_function_matches_two_branch_oracle(n):
+    # one expression for both dtypes: float bytes and exact Fractions equal
+    # the per-dtype code it replaced, for the default and custom orderings
+    rng = np.random.default_rng(n)
+    d = rng.uniform(-1, 3, (n, n)) * (rng.random((n, n)) < 0.6)
+    if n > 1:
+        d[0, n - 1] = np.inf
+    floats = Causet(tuple(f"p{k}" for k in range(n)), d)
+    exact = _rational(np.nan_to_num(d, posinf=7.0))
+    for ordering in (None, list(rng.permutation(n)), list(range(n))[::-1]):
+        got = time_function(floats, ordering).values
+        assert got.tobytes() == oracle_tau_base(floats, ordering).tobytes()
+        got = time_function(exact, ordering).values
+        assert got.shape == (n,)
+        assert all(type(v) is Fraction for v in got)
+        assert list(got) == list(oracle_tau_base(exact, ordering))
 
 
 def test_time_function_affine_controls():

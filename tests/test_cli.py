@@ -7,11 +7,16 @@ through main(argv).
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lorentzmet import Causet
+import lorentzmet
+from lorentzmet import Causet, DiamondSpace, SampleSpec, sample_causet
 from lorentzmet.cli import main
 from lorentzmet.experiments import ExperimentConfig
 
@@ -28,6 +33,13 @@ def write_causet(tmp_path, c, name):
 def run_json(capsys, argv):
     assert main(argv) == 0
     return json.loads(capsys.readouterr().out)
+
+
+def strict_json(text):
+    """json.loads that refuses the bare NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"bare {token} in JSON output")
+    return json.loads(text, parse_constant=refuse)
 
 
 # -- validate -----------------------------------------------------------------
@@ -138,6 +150,42 @@ def test_tau_values(tmp_path, capsys):
     assert blob["kind"] == "time-function"
     assert blob["alpha"] == 1.0 and blob["beta"] == 0.0
     assert blob["values"] == {"p0": -0.125, "p1": 0.25}
+
+
+def test_tau_on_an_empty_causet(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"n": 0, "d": []}')
+    assert run_json(capsys, ["tau", str(empty)])["values"] == {}
+
+
+def test_non_finite_values_are_written_as_null(tmp_path, capsys):
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"n": 2, "d": [[0, NaN], [0, 0]]}')
+    assert main(["validate", str(nan)]) == 0
+    blob = strict_json(capsys.readouterr().out)
+    assert blob["valid"] is False
+    assert [v["magnitude"] for v in blob["violations"]] == [None]
+    assert main(["tau", str(nan)]) == 0
+    blob = strict_json(capsys.readouterr().out)
+    assert blob["values"] == {"p0": None, "p1": None}
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # `lorentzmet gamma host.json | head -1`: the output is far larger than
+    # a pipe buffer, so the writer meets the closed pipe mid-write
+    host = sample_causet(DiamondSpace(), SampleSpec(count=120, seed=1))
+    path = write_causet(tmp_path, host, "host.json")
+    src = str(Path(lorentzmet.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-m", "lorentzmet.cli", "gamma",
+                             path], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 # -- gh -----------------------------------------------------------------------

@@ -331,15 +331,20 @@ def _refuse_table(da, db):
 
 
 def test_greedy_past_the_table_cap_matches_loop_oracle(monkeypatch):
-    # m + n = 81: construction only, so no table and no local search
+    # m + n > 80: construction only, its rows from _pair_rows, so no table
+    # and no local search; the second pair has nonzero diagonals
     host = sample_causet(DiamondSpace(), SampleSpec(count=120, seed=7))
     rng = np.random.default_rng(41)
-    a = induced(host, rng.choice(host.n, 41, replace=False))
-    b = induced(host, rng.choice(host.n, 40, replace=False))
     monkeypatch.setattr(gh_module, "_pair_table", _refuse_table)
-    r = gh_upper_greedy(a, b, restarts=2, seed=1)
-    upper, pairs, _, _ = oracle_greedy(a.as_float(), b.as_float(), 2, 1)
-    assert (repr(r.upper), r.witness.pairs) == (repr(upper), pairs)
+    for a, b, seed in (
+            (induced(host, rng.choice(host.n, 41, replace=False)),
+             induced(host, rng.choice(host.n, 40, replace=False)), 1),
+            (Causet.from_matrix(rng.uniform(0, 2, (42, 42))),
+             Causet.from_matrix(rng.integers(0, 4, (41, 41)) * 0.5), 3)):
+        r = gh_upper_greedy(a, b, restarts=2, seed=seed)
+        upper, pairs, _, _ = oracle_greedy(a.as_float(), b.as_float(), 2,
+                                           seed)
+        assert (repr(r.upper), r.witness.pairs) == (repr(upper), pairs)
 
 
 @pytest.mark.parametrize("seed, xa, xb", [

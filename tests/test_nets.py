@@ -35,6 +35,7 @@ from lorentzmet import (
     simplest_rational_between,
     validate,
 )
+import lorentzmet.nets as nets_module
 from lorentzmet.causet import _float_image
 from lorentzmet.nets import (
     EpsilonNet,
@@ -44,9 +45,9 @@ from lorentzmet.nets import (
     check_uniformly_totally_bounded,
 )
 from lorentzmet.diamond import DiamondSpace, SampleSpec, causet_from_points, sample_causet
-from helpers import (oracle_link_counts, oracle_min_gamma, oracle_rationalize,
-                     oracle_simplest_rational_between, random_fraction_matrix,
-                     random_valid_matrix)
+from helpers import (oracle_limit_matrix, oracle_link_counts, oracle_min_gamma,
+                     oracle_rationalize, oracle_simplest_rational_between,
+                     random_fraction_matrix, random_valid_matrix)
 
 
 CHAIN2 = Causet.from_matrix([[0.0, 1.0], [0.0, 0.0]])
@@ -390,3 +391,53 @@ def test_limit_of_shrinking_cloud():
     tail = member(12)
     ident = Correspondence.identity(out.n)
     assert distortion(ident, tail, out) <= 0.05
+
+
+class _Fitted(Exception):
+    """Carries limit_causet's fitted matrix out of its first quotient."""
+
+
+def _fitted_matrix(monkeypatch, seq, tol):
+    def stop(c, tol):
+        raise _Fitted(c.d)
+    monkeypatch.setattr(nets_module, "distance_quotient", stop)
+    with pytest.raises(_Fitted) as info:
+        limit_causet(seq, tol=tol)
+    return info.value.args[0]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")  # inf - inf spreads
+@pytest.mark.parametrize("length", [1, 3, 5, 6, 9, 14, 16, 24, 40])
+def test_limit_fit_matches_per_entry_loop(monkeypatch, length):
+    rng = np.random.default_rng(length)
+    n = 5
+    base = rng.uniform(0.5, 3, (n, n))
+    stack = np.array([base * (1 + rng.normal(0, 1, (n, n)) / m)
+                      for m in range(20, 20 + length)])
+    stack[:, 0, :] = 0.0                      # zero entries
+    stack[:, 1, 1] = 2.5                      # a constant entry
+    stack[:, 0, 1], stack[:, 1, 0] = np.inf, -np.inf
+    stack[:, 3, 0] = -0.01 * (1 + 1 / np.arange(20, 20 + length))  # fit < 0
+    stack[-1, 2, 2] = np.nan                  # NaN in one member
+    stack[:, 2, 3], stack[-1, 2, 3] = np.inf, np.nan
+    seq = [Causet(tuple(f"p{k}" for k in range(n)), d) for d in stack]
+    got = _fitted_matrix(monkeypatch, seq, tol=1.0)
+    want = oracle_limit_matrix(seq)
+    tail = stack[length // 2 if length >= 6 else 0:]
+    if len(tail) < 8:
+        assert got.tobytes() == want.tobytes()
+        return
+    # from 8 tail members on, LAPACK's many-column path sums in another
+    # order than its one-column path: fitted finite entries move by ulps
+    fitted = (tail.max(axis=0) != tail.min(axis=0)) & np.isfinite(tail).all(0)
+    assert got[~fitted].tobytes() == want[~fitted].tobytes()
+    assert np.abs(got[fitted] - want[fitted]).max() <= \
+        64 * np.finfo(float).eps * base.max()
+
+
+def test_limit_fit_keeps_the_sign_of_a_zero_fit(monkeypatch):
+    # this tail fits a = -0.0, which max(a, 0.0) kept and np.maximum drops
+    seq = [Causet(("p0",), np.array([[v]])) for v in (5e-324, 0.0, 0.0, 0.0)]
+    got = _fitted_matrix(monkeypatch, seq, tol=1.0)
+    assert got.tobytes() == oracle_limit_matrix(seq).tobytes()
+    assert np.signbit(got[0, 0])
