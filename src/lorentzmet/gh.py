@@ -8,12 +8,21 @@ over correspondences R, i.e. relations covering both factors.  For finite
 spaces the infimum is attained on unions graph(f) u graph(g)^T with
 f: X -> Y and g: Y -> X, because every correspondence contains such a
 union, and a subset never has larger distortion.  The exact solver runs
-branch and bound over these function pairs.
+branch and bound over these function pairs, pruned by a per-pair lower
+bound and checked against L*, a lower bound from arc consistency.
+
+Every result's upper is the distortion of its witness.  An `exact`
+result is d_GH itself: its value equals L*, or the search completed.  A
+`branch-bound` result (node budget exhausted) has lower = max(value-set
+bound, L*), a proven bound.  `gh_lower_bounds` and the greedy result's
+lower are the cheap value-set bound alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -98,6 +107,10 @@ class GHResult:
     exact: float | None
     witness: Correspondence | None
     method: str  # exact | branch-bound | greedy
+    # gh_exact's search counters (see gh_exact), empty for greedy results;
+    # not part of to_json
+    stats: MappingProxyType = field(
+        default_factory=lambda: MappingProxyType({}))
 
     def to_json(self) -> dict:
         out = {"lower": self.lower, "upper": self.upper, "method": self.method,
@@ -217,9 +230,10 @@ def _greedy_once(da, db, x_order, y_order, mismatch, table):
     the pair table is given.
 
     Slot k < m holds the pair (k, f(k)) and slot m + y the pair (g(y), y).
-    As in _branch_and_bound, reach[P] is the largest pair distortion between
-    P and the filled slots or P itself; each filled slot adds its row, read
-    from the table if there is one, else from _pair_rows.
+    reach[P] is the largest pair distortion between P and the filled slots
+    or P itself (_branch_and_bound's reach without the root bound); each
+    filled slot adds its row, read from the table if there is one, else
+    from _pair_rows.
     """
     m, n = len(da), len(db)
     xs = np.concatenate([np.arange(m), np.zeros(n, dtype=int)])
@@ -277,22 +291,24 @@ def _function_pair_correspondence(m, n, f, g) -> Correspondence:
     return Correspondence(m, n, tuple(pairs))
 
 
-def _greedy(da, db, mismatch, orders, restarts, seed, table):
-    """Best (distortion, f, g) over the restarts of _greedy_once."""
+def _greedy_runs(da, db, mismatch, orders, seed, table):
+    """(distortion, f, g) of _greedy_once without end: the first run in the
+    given orders, each later one in a seeded shuffle."""
     m, n = len(da), len(db)
-    if m * n > 10000:
-        restarts = min(restarts, 2)
-    best = None
     rng = np.random.default_rng(seed)
-    for trial in range(max(1, restarts)):
-        if trial == 0:
-            xo, yo = orders
-        else:
-            xo, yo = rng.permutation(m), rng.permutation(n)
-        val, f, g = _greedy_once(da, db, xo, yo, mismatch, table)
+    xo, yo = orders
+    while True:
+        yield _greedy_once(da, db, xo, yo, mismatch, table)
+        xo, yo = rng.permutation(m), rng.permutation(n)
+
+
+def _best_run(runs, count, floor, best=None):
+    """Least (distortion, f, g) of best and the next count runs; stops at a
+    distortion <= floor, a proven lower bound."""
+    for val, f, g in itertools.islice(runs, count):
         if best is None or val < best[0]:
             best = (val, f, g)
-        if best[0] == 0.0:
+        if best[0] <= floor:
             break
     return best
 
@@ -309,24 +325,77 @@ def gh_upper_greedy(a: Causet, b: Causet, restarts: int = 32,
     m, n = len(da), len(db)
     orders = (_variance_order(da), _variance_order(db))
     table = _pair_table(da, db) if m + n <= TABLE_MAX_POINTS else None
-    val, f, g = _greedy(da, db, _profile_mismatch(da, db), orders, restarts,
-                        seed, table)
+    if m * n > 10000:
+        restarts = min(restarts, 2)
+    runs = _greedy_runs(da, db, _profile_mismatch(da, db), orders, seed, table)
+    val, f, g = _best_run(runs, max(1, restarts), 0.0)
     return GHResult(lower=_lower_bound(da, db), upper=val, exact=None,
                     witness=_function_pair_correspondence(m, n, f, g),
                     method="greedy")
 
 
-def _branch_and_bound(da, db, x_order, y_order, mismatch, table, incumbent,
-                      inc_fg, node_budget):
+def _root_bound(table, m, n) -> np.ndarray:
+    """Per pair P = (x, y), a lower bound on the distortion of every
+    correspondence R that holds P: the self term w[P, P], and
+    H(P) = max(max_x' min_y' w[P, (x', y')], max_y' min_x' w[P, (x', y')]),
+    since R relates every x' and every y' to something (the local spectrum
+    bound of Memoli 2012)."""
+    w = table.reshape(-1, m, n)
+    h = np.maximum(w.min(axis=2).max(axis=1), w.min(axis=1).max(axis=1))
+    return np.maximum(h, table.diagonal())
+
+
+def _consistent(table, root, t, m, n) -> np.ndarray:
+    """Pairs that arc consistency (Mackworth 1977) keeps at threshold t.
+
+    A pair P survives while root[P] <= t and, for every x' and every y',
+    some surviving pair Q on that point has w[P, Q] <= t.  The pairs of a
+    correspondence with distortion <= t all survive, so an empty result
+    proves d_GH > t.
+    """
+    ok = table <= t
+    alive = root <= t
+    while alive.any():
+        s = (ok[alive] & alive).reshape(-1, m, n)
+        keep = s.any(axis=2).all(axis=1) & s.any(axis=1).all(axis=1)
+        if keep.all():
+            break
+        alive[np.flatnonzero(alive)[~keep]] = False
+    return alive
+
+
+def _lstar(table, root, m, n) -> float:
+    """L*, the least table value at which arc consistency keeps a pair: a
+    lower bound on d_GH (itself a table value), found by binary search
+    since the surviving set only grows with t."""
+    values = np.unique(table)
+    r = root.reshape(m, n)
+    lo = int(np.searchsorted(values, max(r.min(axis=1).max(),
+                                         r.min(axis=0).max())))
+    hi = len(values) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _consistent(table, root, values[mid], m, n).any():
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(values[lo])
+
+
+def _branch_and_bound(x_order, y_order, mismatch, table, root, floor,
+                      incumbent, inc_fg, node_budget):
     """DFS over f then g assignments, pruning at the incumbent distortion.
 
     Returns (value, (f, g), completed, nodes_used).  The partial
     distortion only grows as pairs are added, so any node at or above the
     incumbent is cut.  Depth t assigns the pair (xs[t], ys[t]); reach[P]
-    is the largest table entry between the pair P and the assigned pairs
-    or P itself (the self term |da[x, x] - db[y, y]|).
+    is the largest table entry between the pair P and the assigned pairs,
+    or root[P], a lower bound on any correspondence holding P.  A y that f
+    already covers takes a preimage as g(y) without branching: the pair
+    is already in the relation, and every other choice only adds pairs.
+    The search stops once the incumbent reaches floor, a lower bound.
     """
-    m, n = len(da), len(db)
+    m, n = mismatch.shape
     xs = np.concatenate([x_order, np.zeros(n, dtype=int)])
     ys = np.concatenate([np.zeros(m, dtype=int), y_order])
     # children in increasing profile mismatch, ties by index
@@ -337,16 +406,22 @@ def _branch_and_bound(da, db, x_order, y_order, mismatch, table, incumbent,
         ps, qs, order = sides[t >= m]
         cand = _slot_pairs(m, n, t, ps[t])
         slots.append((qs, cand, order[ps[t]].tolist()))
-    best, fg, nodes, over = incumbent, inc_fg, 0, False
+    y_at = ys.tolist()
+    best, fg, nodes, over, pre = incumbent, inc_fg, 0, False, {}
 
     def dfs(t, current, reach):
-        nonlocal best, fg, nodes, over
-        if over or best == 0.0:
+        nonlocal best, fg, nodes, over, pre
+        if over or best <= floor:
             return
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
+        if node_budget is not None and nodes >= node_budget:
             over = True
             return
+        nodes += 1
+        if t == m:
+            pre = dict(zip(ys[:m].tolist(), xs[:m].tolist()))
+        while m <= t < m + n and y_at[t] in pre:
+            xs[t] = pre[y_at[t]]
+            t += 1
         if t == m + n:
             if current < best:
                 best = current or 0.0
@@ -365,18 +440,25 @@ def _branch_and_bound(da, db, x_order, y_order, mismatch, table, incumbent,
             if over:
                 return
 
-    dfs(0, 0.0, table.diagonal())
+    dfs(0, 0.0, root)
     return best, fg, not over, nodes
 
 
 def gh_exact(a: Causet, b: Causet, max_exact_size: int = 6,
              node_budget: int | None = None) -> GHResult:
-    """Exact d_GH by branch and bound over function pairs.
+    """Exact d_GH by branch and bound over function pairs, certified by L*.
 
-    Points are assigned in decreasing row-variance order.  Instances with
-    max(m, n) beyond `max_exact_size`, or m + n beyond TABLE_MAX_POINTS,
-    fall back to greedy bounds; an exhausted node budget returns the
-    incumbent as bounds only.
+    L* is the arc-consistency lower bound (see _consistent).  A greedy
+    warm start that reaches L* is exact without search; otherwise branch
+    and bound, with points assigned in decreasing row-variance order,
+    either completes (exact) or stops at the node budget.  Then the
+    result is `branch-bound`: upper is the best distortion found, at most
+    gh_upper_greedy's on the same input, and lower = max(value-set bound,
+    L*) is a proven lower bound.  Instances with max(m, n) beyond
+    `max_exact_size`, or m + n beyond TABLE_MAX_POINTS, return
+    gh_upper_greedy's bounds.  `stats` holds the node count, whether the
+    budget ran out, L*, and what certified an exact value ("lstar" when
+    upper == L*, "search" for a completed search, else None).
     """
     m, n = a.n, b.n
     if max(m, n) > max_exact_size or m + n > TABLE_MAX_POINTS:
@@ -386,17 +468,33 @@ def gh_exact(a: Causet, b: Causet, max_exact_size: int = 6,
     mismatch = _profile_mismatch(da, db)
     orders = (_variance_order(da), _variance_order(db))
     table = _pair_table(da, db)
+    root = _root_bound(table, m, n)
+    lstar = _lstar(table, root, m, n)
     # the warm start's own (f, g) is the incumbent, so the witness of an
     # unimproved search has the distortion reported as its upper bound
-    upper, f, g = _greedy(da, db, mismatch, orders, 8, 0, table)
-    value, (f, g), completed, _ = _branch_and_bound(
-        da, db, *orders, mismatch, table, upper, (f, g), node_budget)
+    runs = _greedy_runs(da, db, mismatch, orders, 0, table)
+    upper, f, g = _best_run(runs, 8, lstar)
+    nodes, completed = 0, True
+    if upper > lstar:
+        # a pair arc consistency drops below the incumbent is in no
+        # better correspondence: give it an infinite root bound
+        alive = _consistent(table, root, table[table < upper].max(), m, n)
+        upper, (f, g), completed, nodes = _branch_and_bound(
+            *orders, mismatch, table, np.where(alive, root, np.inf), lstar,
+            upper, (f, g), node_budget)
+        if not completed:
+            # gh_upper_greedy's 32 restarts, so upper never exceeds its bound
+            upper, f, g = _best_run(runs, 24, lstar, (upper, f, g))
+    certified = "lstar" if upper == lstar else "search" if completed else None
+    stats = MappingProxyType({"nodes": nodes, "budget_exhausted": not completed,
+                              "lstar": lstar, "certified_by": certified})
     witness = _function_pair_correspondence(m, n, f, g)
-    if completed:
-        return GHResult(lower=value, upper=value, exact=value,
-                        witness=witness, method="exact")
-    return GHResult(lower=_lower_bound(da, db), upper=value, exact=None,
-                    witness=witness, method="branch-bound")
+    if certified:
+        return GHResult(lower=upper, upper=upper, exact=upper,
+                        witness=witness, method="exact", stats=stats)
+    return GHResult(lower=max(_lower_bound(da, db), lstar), upper=upper,
+                    exact=None, witness=witness, method="branch-bound",
+                    stats=stats)
 
 
 def epsilon_isometry_from(r: Correspondence, a: Causet, b: Causet

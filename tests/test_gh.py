@@ -33,10 +33,10 @@ from lorentzmet import (
     sample_causet,
 )
 from lorentzmet.gh import (_branch_and_bound, _pair_table, _profile_mismatch,
-                           epsilon_isometry_from, map_distortion)
-from helpers import (oracle_branch_and_bound, oracle_gh, oracle_gh_exact,
-                     oracle_greedy, oracle_lower_bound, oracle_profile_mismatch,
-                     random_valid_matrix)
+                           _root_bound, epsilon_isometry_from, map_distortion)
+from helpers import (covering_masks, oracle_gh, oracle_gh_exact, oracle_greedy,
+                     oracle_lower_bound, oracle_pairs_distortion,
+                     oracle_profile_mismatch, random_valid_matrix)
 
 
 CHAIN_1 = Causet.from_matrix([[0.0, 1.0], [0.0, 0.0]])
@@ -141,15 +141,33 @@ def test_gh_exact_counts_the_self_term():
 
 
 def test_gh_exact_budget_and_size_fallbacks():
+    # the warm start meets L*: exact without search, whatever the budget
     rng = np.random.default_rng(8)
     a = random_valid_matrix(rng, 5)
     b = random_valid_matrix(rng, 5)
     r = gh_exact(a, b, node_budget=3)
-    assert r.exact is None
-    assert r.method == "branch-bound"
-    assert r.lower <= r.upper
+    assert r.method == "exact"
+    assert dict(r.stats) == {"nodes": 0, "budget_exhausted": False,
+                             "lstar": r.exact, "certified_by": "lstar"}
+    assert repr(r.exact) == repr(oracle_gh_exact(a.as_float(), b.as_float(),
+                                                 5)[2])
     big = gh_exact(a, b, max_exact_size=4)
     assert big.method == "greedy"
+    # L* < d_GH here: three nodes leave bounds only, the full search is exact
+    a = sample_causet(DiamondSpace(), SampleSpec(count=6, seed=1))
+    b = sample_causet(DiamondSpace(), SampleSpec(count=6, seed=2))
+    r = gh_exact(a, b, node_budget=3)
+    assert r.exact is None and r.method == "branch-bound"
+    assert r.stats["nodes"] == 3 and r.stats["budget_exhausted"]
+    assert r.stats["certified_by"] is None
+    # propagation lifts L* above the root bound alone, 0.20107
+    assert r.stats["lstar"] == 0.204186150033772
+    assert r.lower == max(gh_lower_bounds(a, b), r.stats["lstar"]) < r.upper
+    assert r.upper <= gh_upper_greedy(a, b).upper
+    full = gh_exact(a, b)
+    assert full.method == "exact" and full.stats["certified_by"] == "search"
+    assert full.stats["lstar"] == r.stats["lstar"] < full.exact
+    assert full.exact == 0.25544584186448216  # as the search without L* or H
 
 
 def test_gh_upper_greedy():
@@ -291,25 +309,33 @@ def test_gh_search_matches_loop_oracles():
             assert (repr(r.lower), repr(r.upper), r.exact, r.method,
                     r.witness.pairs) == (lower, repr(upper), None, "greedy",
                                          pairs)
-        for budget in (3, 50, 1000):
+        # exact values from the old search: no L*, no H, g branches on
+        # every y; lower, upper and the witness agree whatever the budget
+        exact = oracle_gh_exact(da, db, 7)[2]
+        greedy = gh_upper_greedy(a, b).upper
+        for budget in (3, 50, 1000, None):
             r = gh_exact(a, b, max_exact_size=7, node_budget=budget)
-            lo, up, ex, method, pairs = oracle_gh_exact(da, db, 7, budget)
-            assert (repr(r.lower), repr(r.upper), repr(r.exact), r.method,
-                    r.witness.pairs) == (repr(lo), repr(up), repr(ex),
-                                         method, pairs)
-            # node count and completion from an open start
-            x_order = list(np.argsort(-da.var(axis=1), kind="stable"))
-            y_order = list(np.argsort(-db.var(axis=1), kind="stable"))
-            empty = ([-1] * a.n, [-1] * b.n)
-            got = _branch_and_bound(da, db, x_order, y_order,
-                                    _profile_mismatch(da, db),
-                                    _pair_table(da, db), np.inf, empty, budget)
-            want = oracle_branch_and_bound(da, db, x_order, y_order, np.inf,
-                                           empty, budget)
-            assert repr(got[0]) == repr(want[0])
-            assert [list(map(int, v)) for v in got[1]] == \
-                [list(map(int, v)) for v in want[1]]
-            assert got[2:] == want[2:]
+            assert distortion(r.witness, a, b) == r.upper <= greedy
+            assert r.stats["lstar"] <= exact <= r.upper
+            if r.method == "exact":
+                assert repr(r.exact) == repr(exact) == repr(r.upper)
+                assert r.lower == r.upper
+            else:
+                assert (r.method, r.stats["budget_exhausted"]) == (
+                    "branch-bound", True)
+                assert r.lower == max(oracle_lower_bound(da, db),
+                                      r.stats["lstar"])
+        # branch and bound alone, from an open start, with no L* to stop at
+        x_order = list(np.argsort(-da.var(axis=1), kind="stable"))
+        y_order = list(np.argsort(-db.var(axis=1), kind="stable"))
+        table = _pair_table(da, db)
+        value, (f, g), completed, _ = _branch_and_bound(
+            x_order, y_order, _profile_mismatch(da, db), table,
+            _root_bound(table, a.n, b.n), -np.inf, np.inf, None, None)
+        assert completed and repr(value) == repr(exact)
+        witness = Correspondence(a.n, b.n, tuple(enumerate(f)) + tuple(
+            (x, y) for y, x in enumerate(g)))
+        assert distortion(witness, a, b) == value
 
 
 def test_greedy_matches_loop_oracle_with_local_search_at_8_to_12_points():
@@ -353,14 +379,58 @@ def test_greedy_past_the_table_cap_matches_loop_oracle(monkeypatch):
 ])
 def test_gh_exact_witness_matches_upper_when_the_budget_runs_out(seed, xa,
                                                                  xb):
-    # the warm start's (f, g) is the witness when the search finds nothing
-    # better; a witness rebuilt from one pair per point distorted less
+    # after an exhausted budget the witness is the best (f, g) found, and
+    # upper never exceeds gh_upper_greedy's: the warm start's 8 restarts
+    # left 0.3357 in the seed-100 case, where greedy's 32 find 0.2718 = L*
     host = sample_causet(DiamondSpace(), SampleSpec(count=200, seed=seed))
     a, b = induced(host, xa), induced(host, xb)
-    r = gh_exact(a, b, node_budget=1000)
-    want = {34008: 0.2434949989060699, 100: 0.3356662440866945}[seed]
-    assert (r.method, r.upper) == ("branch-bound", want)
-    assert distortion(r.witness, a, b) == r.upper
+    greedy = gh_upper_greedy(a, b).upper
+    want = {34008: {3: ("branch-bound", 0.2434949989060699),
+                    1000: ("exact", 0.2192716900789204)},
+            100: {3: ("exact", 0.2718002785995041),
+                  1000: ("exact", 0.2718002785995041)}}[seed]
+    for budget in (3, 1000):
+        r = gh_exact(a, b, node_budget=budget)
+        assert (r.method, r.upper) == want[budget]
+        assert distortion(r.witness, a, b) == r.upper <= greedy
+    assert r.stats["certified_by"] == "lstar"
+
+
+def _random_pair(rng, m, n):
+    """Random valid causets, or nonnegative matrices with nonzero
+    diagonals and many ties, by a coin flip."""
+    if rng.random() < 0.5:
+        return random_valid_matrix(rng, m), random_valid_matrix(rng, n)
+    return (Causet.from_matrix(rng.integers(0, 3, (m, m)) * 0.5),
+            Causet.from_matrix(rng.uniform(0, 2, (n, n))
+                               * (rng.random((n, n)) < 0.6)))
+
+
+def test_gh_exact_and_lstar_against_enumeration():
+    rng = np.random.default_rng(43)
+    shapes = [(m, n) for m in range(1, 13) for n in range(1, 13)
+              if m * n <= 12]
+    for m, n in shapes + shapes:
+        a, b = _random_pair(rng, m, n)
+        r = gh_exact(a, b, max_exact_size=12)
+        assert r.method == "exact" and r.exact == oracle_gh(a, b)
+        assert r.stats["lstar"] <= r.exact == distortion(r.witness, a, b)
+
+
+def test_root_bound_holds_for_every_correspondence_with_the_pair():
+    # root[P] = max(self term, H(P)) is at most the distortion of every
+    # covering relation that holds P, by brute force
+    rng = np.random.default_rng(47)
+    for m, n in ((1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4)):
+        a, b = _random_pair(rng, m, n)
+        da, db = a.as_float(), b.as_float()
+        root = _root_bound(_pair_table(da, db), m, n)
+        least = np.full(m * n, np.inf)
+        for mask in covering_masks(m, n):
+            held = [p for p in range(m * n) if mask >> p & 1]
+            dis = oracle_pairs_distortion([divmod(p, n) for p in held], da, db)
+            least[held] = np.minimum(least[held], dis)
+        assert (root <= least).all()
 
 
 @pytest.mark.parametrize("solver", [gh_exact, gh_upper_greedy,
