@@ -62,29 +62,28 @@ def _j_among(d: np.ndarray, pts: np.ndarray | None, tol: float) -> np.ndarray:
     """J on pts x pts (every point when pts is None), over the light cones."""
     _check_tol(tol)
     dT = np.ascontiguousarray(d.T)
-    fine = (d >= 0) & (d < np.inf)
-    past = (dT > tol) | ~fine.all(axis=1)  # past[x]: the past cone of x
-    fut = (d > tol) | ~fine.all(axis=0)    # fut[y]: the future cone of y
+    neg = d < 0
+    past = (dT > tol) | neg.any(axis=1)  # past[x]: the past cone of x
+    fut = (d > tol) | neg.any(axis=0)    # fut[y]: the future cone of y
     cols = slice(None) if pts is None else pts
     pts = np.arange(len(d)) if pts is None else pts
     ok = np.empty((2, len(pts), len(pts)), dtype=bool)  # [x, y], [y, x]
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, failing the test
-        for k, (cone, m, t) in enumerate(((past, d, dT), (fut, dT, d))):
-            for a, x in enumerate(pts):
-                p = np.flatnonzero(cone[x])
-                ok[k, a] = (m[p][:, cols] >= t[x, p, None] - tol).all(axis=0)
+    for k, (cone, m, t) in enumerate(((past, d, dT), (fut, dT, d))):
+        for a, x in enumerate(pts):
+            p = np.flatnonzero(cone[x])
+            ok[k, a] = (m[p][:, cols] >= t[x, p, None] - tol).all(axis=0)
     return ok[0] & ok[1].T
 
 
 def causal_relation(c: Causet, tol: float = 0.0) -> CausalRelation:
     """Compute J by comparing distance profiles pointwise, within tol.
 
-    A p with d(p, x) <= tol and a nonnegative finite row passes the past
-    test d(p, y) >= d(p, x) - tol for every y, and likewise for columns and
-    the future test.  So for each x only the rows of its past cone
-    {p : d(p, x) > tol, or row p holds a negative, NaN or infinite entry}
-    are compared, and for each y the columns of its future cone; J is
-    identical to the full O(n^3) comparison.  A NaN tol raises ValueError.
+    A p with d(p, x) <= tol and a nonnegative row passes the past test
+    d(p, y) >= d(p, x) - tol for every y, and likewise for columns and the
+    future test.  So for each x only the rows of its past cone
+    {p : d(p, x) > tol, or row p holds a negative entry} are compared, and
+    for each y the columns of its future cone; J is identical to the full
+    O(n^3) comparison.  A NaN tol raises ValueError.
     """
     return CausalRelation(_j_among(c.as_float(), None, tol))
 
@@ -114,9 +113,10 @@ def _tau_base(c: Causet, ordering: Sequence[int] | None):
     # exact weights on a Fraction payload, so object arithmetic stays exact
     w = np.array([Fraction(1, 2 ** k) for k in range(1, n + 1)], dtype=object) \
         if c.is_rational else 0.5 ** np.arange(1, n + 1)
+    d = c.d if c.is_rational else c.as_float()
     s = np.array(ordering, dtype=int)
     # sum_n w_n d(s_n, x) - sum_n w_n d(x, s_n), halved
-    return (w @ c.d[s, :] - c.d[:, s] @ w) / 2, w, tuple(ordering)
+    return (w @ d[s, :] - d[:, s] @ w) / 2, w, tuple(ordering)
 
 
 def time_function(c: Causet, ordering: Sequence[int] | None = None,

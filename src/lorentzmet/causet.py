@@ -17,8 +17,10 @@ float64 arrays or, for exact arithmetic, as object arrays of
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import IO, Sequence
 
 import numpy as np
@@ -77,7 +79,10 @@ class Causet:
     The constructor performs only structural checks, among them that a
     declared boundary point has an all-zero row and column (else
     `BoundaryError`); axiom violations are reported by `validate`, never
-    raised here.
+    raised here.  A bounded Lorentzian distance is finite: an entry with
+    no finite float64 value (NaN, +-inf, a Fraction past 2**1023) is
+    reported by `validate` and refused, through `as_float`, by every other
+    computation.
     """
 
     labels: tuple[str, ...]
@@ -88,13 +93,12 @@ class Causet:
     def __post_init__(self):
         m = _as_matrix(self.d)
         if len(self.labels) != m.shape[0]:
-            raise ValueError(
-                f"{len(self.labels)} labels for a {m.shape[0]}-point matrix"
-            )
+            raise ValueError(f"{len(self.labels)} labels for a "
+                             f"{m.shape[0]}-point matrix")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
         if self.boundary is not None:
-            b = self.boundary
+            b = operator.index(self.boundary)  # TypeError for 1.5
             if not 0 <= b < m.shape[0]:
                 raise ValueError(f"boundary index {b} out of range")
             if (m[b] != 0).any() or (m[:, b] != 0).any():
@@ -111,8 +115,23 @@ class Causet:
     def is_rational(self) -> bool:
         return self.d.dtype == object
 
+    @cached_property
+    def _image(self) -> tuple[np.ndarray, float, tuple[int, int] | None]:
+        """_float_image of d, read-only, and its first non-finite entry."""
+        f, err = _float_image(self.d)
+        f.flags.writeable = False
+        bad = np.argwhere(~np.isfinite(f))
+        return f, err, tuple(int(v) for v in bad[0]) if len(bad) else None
+
     def as_float(self) -> np.ndarray:
-        return self.d.astype(float) if self.is_rational else self.d
+        """d in float64, computed once and read-only (d itself for a float
+        payload); a ValueError names the first entry (i, j) with no finite
+        float64 value, which only `validate` reports instead."""
+        f, _, bad = self._image
+        if bad is not None:
+            raise ValueError(f"entry {bad} has no finite float64 value: "
+                             f"{f[bad]}")
+        return f
 
     @classmethod
     def from_matrix(cls, d, labels: Sequence[str] | None = None,
@@ -148,6 +167,10 @@ class Causet:
             if len(row) != n:
                 raise ValueError(f"field 'd' row {i} has length {len(row)}")
         if obj.get("rational"):
+            if not all(isinstance(p, list) and len(p) == 2 and p[1] != 0
+                       for row in rows for p in row):
+                raise ValueError("rational entries must be [numerator, "
+                                 "nonzero denominator] pairs")
             m = np.array([Fraction(p[0], p[1]) for row in rows for p in row],
                          dtype=object).reshape(n, n)
         else:
@@ -212,7 +235,7 @@ def _float_image(d: np.ndarray) -> tuple[np.ndarray, float]:
     to spare, the error of comparing sums and differences of three of them.
     """
     try:
-        f = d.astype(float)
+        f = d.astype(float, copy=False)
     except OverflowError:
         f = np.array([float(v) if abs(v) < 2**1023 else
                       np.inf if v > 0 else -np.inf for v in d.flat])
@@ -292,10 +315,10 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
     """
     _check_tol(tol)
     d = c.d if isinstance(c, Causet) else _as_matrix(c)
+    f, err = c._image[:2] if isinstance(c, Causet) else _float_image(d)
     exact = d.dtype == object
     # Fraction payloads: a float filter widened by f's bound, exact decisions
-    f, widen = _float_image(d) if exact else (d, -tol)
-    tol = 0 if exact else tol
+    widen, tol = (err, 0) if exact else (-tol, tol)
     n = d.shape[0]
     out: list[Violation] = []
     with np.errstate(invalid="ignore"):
@@ -365,7 +388,7 @@ def _min_slack(d: np.ndarray, pos: np.ndarray) -> float | Fraction:
         s = block(j)
         for p, q in np.argwhere((s <= thr) | ~np.isfinite(s)):
             v = d[ii[p], kk[q]] - d[ii[p], j] - d[j, kk[q]]
-            if best is None or v < best or v != v:
+            if best is None or v < best:
                 best = v
     return float("inf") if best is None else best
 
@@ -374,10 +397,10 @@ def reverse_triangle_slack(c: Causet) -> float | Fraction:
     """Minimum of d(i,k) - d(i,j) - d(j,k) over triples with d(i,j), d(j,k) > 0.
 
     Positive slack means every reverse-triangle inequality holds strictly;
-    returns +inf when no triple applies, NaN if a float triple gives NaN.
-    Rational payloads are exact: float64 filter, exact refinement.
+    returns +inf when no triple applies.  Rational payloads are exact:
+    float64 filter, exact refinement; float ones go through as_float.
     """
-    return _min_slack(c.d, c.d > 0)
+    return _min_slack(c.d if c.is_rational else c.as_float(), c.d > 0)
 
 
 def chronological_relation(c: Causet) -> set[tuple[int, int]]:
@@ -449,13 +472,8 @@ def distance_quotient(m: Causet | np.ndarray, tol: float = 0.0
     output index.  With tol > 0, rows/columns within tol merge; closeness
     is propagated transitively.
     """
-    if isinstance(m, Causet):
-        c = m
-        d = m.d
-    else:
-        c = Causet.from_matrix(m)
-        d = c.d
-    n = c.n
+    c = m if isinstance(m, Causet) else Causet.from_matrix(m)
+    d, n = c.d, c.n
 
     uf = _UnionFind(n)
     if tol == 0.0:
@@ -528,17 +546,10 @@ def find_isometries(a: Causet, b: Causet, tol: float = DEFAULT_TOL
             return
         x = order[pos]
         for y in candidates[x]:
-            if used[y]:
-                continue
-            ok = True
-            for q in range(pos):
-                xp = order[q]
-                yp = mapping[xp]
-                if abs(da[x, xp] - db[y, yp]) > tol or \
-                   abs(da[xp, x] - db[yp, y]) > tol:
-                    ok = False
-                    break
-            if ok:
+            if not used[y] and all(
+                    abs(da[x, xp] - db[y, mapping[xp]]) <= tol
+                    and abs(da[xp, x] - db[mapping[xp], y]) <= tol
+                    for xp in order[:pos]):
                 mapping[x] = y
                 used[y] = True
                 backtrack(pos + 1)

@@ -4,7 +4,7 @@ Exit codes: 0 on success, 1 on a domain error (valid input, impossible
 request), 2 on a usage error (bad flags, malformed files).  A reader that
 closes stdout early (`| head`) ends the command quietly with exit code 1,
 as in the Python documentation's recipe for SIGPIPE.  NaN and infinite
-values are written as JSON null.
+values are written as JSON null; a value past float64 is a domain error.
 """
 
 from __future__ import annotations
@@ -94,10 +94,9 @@ def cmd_gamma(args) -> None:
 def cmd_tau(args) -> None:
     c = _read_causet(args.causet)
     tf = time_function(c)
-    values = tf.as_dict(c.labels)
     _emit_json({"kind": "time-function",
                 "alpha": float(tf.alpha), "beta": float(tf.beta),
-                "values": {k: float(v) for k, v in values.items()}}, args.out)
+                "values": tf.as_dict(c.labels)}, args.out)
 
 
 def cmd_gh(args) -> None:
@@ -259,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # OverflowError: past float64
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

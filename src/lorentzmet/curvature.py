@@ -245,10 +245,7 @@ _BATCH = 8192
 
 def _qualifying(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                 min_sides: tuple[float, float, float]) -> np.ndarray:
-    """Mask of side triples that pass the filter O of check_curvature_bound.
-
-    NaN sides fail `a + b < c`, so a NaN anywhere rejects the triple.
-    """
+    """Mask of side triples that pass the filter O of check_curvature_bound."""
     a_min, b_min, gap_min = min_sides
     return ((a > 0) & (b > 0) & (a >= a_min) & (b >= b_min)
             & (c - a - b > gap_min) & (a + b < c))
@@ -259,9 +256,6 @@ def _triangle(d: np.ndarray, x: int, y: int, z: int) -> TimelikeTriangle:
                             float(d[x, z]))
 
 
-# inf or NaN host entries give NaN in the side filter and side candidates,
-# which fails every test there; numpy's warnings about it are noise
-@np.errstate(invalid="ignore", divide="ignore")
 def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
                           tol: float = 0.05,
                           side_params: Sequence[SideParams] | None = None,

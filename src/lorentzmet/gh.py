@@ -13,9 +13,9 @@ bound and checked against L*, a lower bound from arc consistency.
 
 Every result's upper is the distortion of its witness.  An `exact`
 result is d_GH itself: its value equals L*, or the search completed.  A
-`branch-bound` result (node budget exhausted) has lower = max(value-set
-bound, L*), a proven bound.  `gh_lower_bounds` and the greedy result's
-lower are the cheap value-set bound alone.
+`branch-bound` result (node budget exhausted) has lower = L*, a proven
+bound never below the value-set bound.  `gh_lower_bounds` and the greedy
+result's lower are the cheap value-set bound alone.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from types import MappingProxyType
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .causet import Causet, diameter, find_isometries
+from .causet import Causet, find_isometries
 
 __all__ = [
     "Correspondence",
@@ -121,16 +121,14 @@ class GHResult:
 
 
 def _checked(c: Causet, name: str) -> np.ndarray:
-    """Float matrix of c; a ValueError names an empty c or non-finite entry."""
+    """c.as_float(); a ValueError names c (a or b) if empty or refused."""
     if c.n == 0:
         raise ValueError(f"causet {name} has no points")
-    d = c.as_float()
-    bad = np.argwhere(~np.isfinite(d))
-    if len(bad):
-        i, j = bad[0]
-        raise ValueError(
-            f"causet {name} has a non-finite entry at ({i}, {j}): {d[i, j]}")
-    return d
+    try:
+        return c.as_float()
+    except ValueError:
+        raise ValueError(f"causet {name} has a non-finite entry at "
+                         f"{c._image[2]}") from None
 
 
 def _value_gap(va: np.ndarray, vb: np.ndarray) -> float:
@@ -453,9 +451,10 @@ def gh_exact(a: Causet, b: Causet, max_exact_size: int = 6,
     and bound, with points assigned in decreasing row-variance order,
     either completes (exact) or stops at the node budget.  Then the
     result is `branch-bound`: upper is the best distortion found, at most
-    gh_upper_greedy's on the same input, and lower = max(value-set bound,
-    L*) is a proven lower bound.  Instances with max(m, n) beyond
-    `max_exact_size`, or m + n beyond TABLE_MAX_POINTS, return
+    gh_upper_greedy's on the same input, and lower = L* is a proven lower
+    bound, never below the value-set bound (each value of a pair arc
+    consistency keeps has a partner within L*).  Instances with max(m, n)
+    beyond `max_exact_size`, or m + n beyond TABLE_MAX_POINTS, return
     gh_upper_greedy's bounds.  `stats` holds the node count, whether the
     budget ran out, L*, and what certified an exact value ("lstar" when
     upper == L*, "search" for a completed search, else None).
@@ -492,7 +491,7 @@ def gh_exact(a: Causet, b: Causet, max_exact_size: int = 6,
     if certified:
         return GHResult(lower=upper, upper=upper, exact=upper,
                         witness=witness, method="exact", stats=stats)
-    return GHResult(lower=max(_lower_bound(da, db), lstar), upper=upper,
+    return GHResult(lower=lstar, upper=upper,
                     exact=None, witness=witness, method="branch-bound",
                     stats=stats)
 

@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .causet import (Causet, _chebyshev_gaps, _float_image, _min_slack,
-                     distance_quotient, induced, validate)
+from .causet import (Causet, _chebyshev_gaps, _min_slack, distance_quotient,
+                     induced, validate)
 from .distinction import GammaMatrix, gamma
 from .gh import Correspondence
 
@@ -234,22 +234,19 @@ def rationalize(c: Causet, eps: float) -> Causet:
     small-denominator rational inside a margin that preserves strictness,
     positivity, and the distinguishing axiom.  All arithmetic is exact, the
     minima that size delta and the margin included (exact: float64 filter,
-    exact refinement).  NaN, +-inf and chronological cycles raise ValueError.
+    exact refinement).  A float payload must pass as_float; chronological
+    cycles raise ValueError.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = c.n
-    bad = [] if c.is_rational else np.argwhere(~np.isfinite(c.d))
-    if len(bad):
-        i, j = (int(v) for v in bad[0])
-        raise ValueError(f"entry ({i}, {j}) is {c.d[i, j]}, not finite")
-    d = np.frompyfunc(Fraction, 1, 1)(c.d)
+    d = np.frompyfunc(Fraction, 1, 1)(c.d if c.is_rational else c.as_float())
     pos = c.d > 0  # a float and its Fraction share their sign
     if n < 2:
         return Causet(c.labels, d, boundary=c.boundary, meta=c.meta)
 
     eps_f = Fraction(eps)
-    alpha = _min_gamma(d, *_float_image(c.d))
+    alpha = _min_gamma(d, *c._image[:2])
     if alpha <= 0:
         raise ValueError("input causet is not distinguishing")
     if not pos.any():
@@ -311,13 +308,13 @@ def limit_causet(seq: Sequence[Causet], tol: float = 0.05) -> Causet:
             f"entry ({int(i)}, {int(j)}) is not Cauchy within tol: "
             f"tail spread {float(spread[i, j])}")
 
-    # a constant entry (+-inf too) is its own limit and enters the one fit
+    # a constant entry is its own limit and enters the one fit
     # of all entries as 0: LAPACK scales every column by the largest entry
     const = hi == lo
     design = np.column_stack([np.ones_like(positions), 1.0 / positions])
     coef = np.linalg.lstsq(design, np.where(const, 0.0, tail).reshape(
         len(tail), n * n), rcond=None)[0][0].reshape(n, n)
-    # max(coef, 0.0) as Python computes it, NaN and -0.0 kept
+    # max(coef, 0.0) as Python computes it, -0.0 kept
     limit = np.where(const, tail[0], np.where(coef < 0, 0.0, coef))
 
     # a merge can bring two representatives within tol: repeat to a fixpoint

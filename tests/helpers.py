@@ -109,6 +109,20 @@ def wild_matrix(rng, n, density=0.5) -> np.ndarray:
     return d
 
 
+def tame(d: np.ndarray) -> np.ndarray:
+    """wild_matrix's d with NaN, +inf and -inf replaced by three of its
+    finite specials, 1.0, 1e308 and -0.5: a matrix every Causet
+    computation accepts."""
+    return np.nan_to_num(d, nan=1.0, posinf=1e308, neginf=-0.5)
+
+
+def first_non_finite(d: np.ndarray) -> str:
+    """The index of d's first non-finite entry, as a regex for the
+    ValueError that refuses it."""
+    i, j = np.argwhere(~np.isfinite(d))[0]
+    return rf"entry \({i}, {j}\)"
+
+
 def oracle_causal_relation(d: np.ndarray, tol=0.0) -> np.ndarray:
     """J from two dense n x n comparisons per point, over every p."""
     n = len(d)

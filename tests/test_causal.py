@@ -18,8 +18,8 @@ from lorentzmet import (
 from lorentzmet.causal import Chain
 from lorentzmet.diamond import (DiamondSpace, SampleSpec, causet_from_points,
                                  diamond_distance, sample_causet)
-from helpers import (oracle_causal_relation, oracle_tau_base,
-                     random_valid_matrix, wild_matrix)
+from helpers import (first_non_finite, oracle_causal_relation,
+                     oracle_tau_base, random_valid_matrix, tame, wild_matrix)
 
 
 CHAIN2 = Causet.from_matrix([[0.0, 1.0], [0.0, 0.0]])
@@ -75,25 +75,31 @@ def _first_break(j, pts):
 
 
 def test_causal_relation_and_is_chain_match_full_comparison():
-    # light-cone J against the dense per-point loop: NaN, +-inf, negative
-    # entries and ties, at tolerances that empty or fill the cones
+    # light-cone J against the dense per-point loop: negative and 1e308
+    # entries and ties, at tolerances that empty or fill the cones; a NaN
+    # or +-inf entry is refused, naming it
     rng = np.random.default_rng(5)
     cases = [wild_matrix(rng, int(rng.integers(0, 14))) for _ in range(300)]
     cases += [sample_causet(DiamondSpace(), SampleSpec(count=60, seed=s)).d
               for s in range(3)]
-    with np.errstate(invalid="ignore"):
-        for d in cases:
-            c = Causet.from_matrix(d)
-            for tol in WILD_TOLS:
-                want = oracle_causal_relation(d, tol)
-                assert causal_relation(c, tol).matrix.tobytes() == want.tobytes()
-                if not c.n:
-                    continue
-                pts = [int(p) for p in
-                       rng.permutation(c.n)[:int(rng.integers(1, c.n + 1))]]
-                got = is_chain(c, pts, tol)
-                brk = _first_break(want, pts)
-                assert got == brk if brk else isinstance(got, Chain)
+    for wild in cases:
+        if not np.isfinite(wild).all():
+            c = Causet.from_matrix(wild)
+            for call in (lambda: causal_relation(c), lambda: is_chain(c, [0])):
+                with pytest.raises(ValueError, match=first_non_finite(wild)):
+                    call()
+        d = tame(wild)
+        c = Causet.from_matrix(d)
+        for tol in WILD_TOLS:
+            want = oracle_causal_relation(d, tol)
+            assert causal_relation(c, tol).matrix.tobytes() == want.tobytes()
+            if not c.n:
+                continue
+            pts = [int(p) for p in
+                   rng.permutation(c.n)[:int(rng.integers(1, c.n + 1))]]
+            got = is_chain(c, pts, tol)
+            brk = _first_break(want, pts)
+            assert got == brk if brk else isinstance(got, Chain)
 
 
 def test_nan_tol_is_rejected():
@@ -140,13 +146,23 @@ def _rational(d: np.ndarray) -> Causet:
 @pytest.mark.parametrize("n", [0, 1, 2, 40])
 def test_time_function_matches_two_branch_oracle(n):
     # one expression for both dtypes: float bytes and exact Fractions equal
-    # the per-dtype code it replaced, for the default and custom orderings
+    # the per-dtype code it replaced, for the default and custom orderings;
+    # a float +-inf or NaN is refused, a Fraction past 2**1023 stays exact
     rng = np.random.default_rng(n)
     d = rng.uniform(-1, 3, (n, n)) * (rng.random((n, n)) < 0.6)
+    labels = tuple(f"p{k}" for k in range(n))
     if n > 1:
-        d[0, n - 1] = np.inf
-    floats = Causet(tuple(f"p{k}" for k in range(n)), d)
-    exact = _rational(np.nan_to_num(d, posinf=7.0))
+        for bad in (np.inf, -np.inf, np.nan):
+            d[0, n - 1] = bad
+            with pytest.raises(ValueError, match=rf"entry \(0, {n - 1}\)"):
+                time_function(Causet(labels, d.copy()))
+        huge = np.full((n, n), Fraction(0), dtype=object)
+        huge[0, n - 1] = Fraction(10**400)
+        tau = time_function(Causet(labels, huge)).values
+        assert tau[0] == -Fraction(10**400, 2 ** (n + 1))
+        d[0, n - 1] = 1e308
+    floats = Causet(labels, d)
+    exact = _rational(np.where(d < 1e308, d, 7.0))
     for ordering in (None, list(rng.permutation(n)), list(range(n))[::-1]):
         got = time_function(floats, ordering).values
         assert got.tobytes() == oracle_tau_base(floats, ordering).tobytes()

@@ -313,9 +313,10 @@ def test_reverse_triangle_slack():
     assert reverse_triangle_slack(Causet.from_matrix(CHAIN2)) == float("inf")
     loose = [[0.0, 1.0, 2.5], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
     assert reverse_triangle_slack(Causet.from_matrix(loose)) == 0.5
-    # a NaN slack wins even where a finite one comes first
+    # a float NaN is refused, even where a finite slack comes first
     nan_far = [[0, 1, 2, np.nan], [0, 0, 1, 2], [0, 0, 0, 1], [0, 0, 0, 0]]
-    assert np.isnan(reverse_triangle_slack(Causet.from_matrix(nan_far)))
+    with pytest.raises(ValueError, match=r"entry \(0, 3\)"):
+        reverse_triangle_slack(Causet.from_matrix(nan_far))
     m = np.empty((3, 3), dtype=object)
     m[:, :] = Fraction(0)
     m[0, 1] = m[1, 2] = Fraction(1, 3)

@@ -159,15 +159,19 @@ def test_tau_on_an_empty_causet(tmp_path, capsys):
 
 
 def test_non_finite_values_are_written_as_null(tmp_path, capsys):
+    # validate reports a NaN entry (magnitude null); every other
+    # subcommand refuses it with exit 1, naming the entry
     nan = tmp_path / "nan.json"
     nan.write_text('{"n": 2, "d": [[0, NaN], [0, 0]]}')
     assert main(["validate", str(nan)]) == 0
     blob = strict_json(capsys.readouterr().out)
     assert blob["valid"] is False
     assert [v["magnitude"] for v in blob["violations"]] == [None]
-    assert main(["tau", str(nan)]) == 0
-    blob = strict_json(capsys.readouterr().out)
-    assert blob["values"] == {"p0": None, "p1": None}
+    for argv in (["tau"], ["gamma"], ["net", "--eps", "0.1"], ["curvature"],
+                 ["gh", str(nan)], ["limit", str(nan)]):
+        assert main([argv[0], str(nan), *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "(0, 1)" in err
 
 
 def test_closed_stdout_exits_quietly(tmp_path):
@@ -319,6 +323,57 @@ def test_limit_of_chain_files(tmp_path, capsys):
     assert blob["d"][0][1] == pytest.approx(1.0, abs=1e-9)
     # early members are too far apart for the default tolerance
     assert main(["limit", *paths[:4]]) == 1
+
+
+# -- fuzz -----------------------------------------------------------------------
+
+def _rational_chain(far):
+    """A rational 3-point chain 0 -> 1 -> 2 with links 10**400 and
+    d(0, 2) = far, as causet JSON text."""
+    big = [10**400, 1]
+    return json.dumps({"n": 3, "rational": True,
+                       "d": [[[0, 1], big, [far, 1]], [[0, 1], [0, 1], big],
+                             [[0, 1]] * 3]})
+
+
+FUZZ_PAYLOADS = {
+    "not-json": '{"n": 1, "d": [[0]]',
+    "not-an-object": "[[0]]",
+    "missing-d": '{"n": 1}',
+    "short-row": '{"n": 2, "d": [[0, 1], [0]]}',
+    "text-entry": '{"n": 1, "d": [["0"]]}',
+    "one-number-pair": '{"n": 1, "rational": true, "d": [[[1]]]}',
+    "zero-denominator": '{"n": 1, "rational": true, "d": [[[0, 0]]]}',
+    "fractional-boundary": '{"n": 2, "d": [[0, 0], [0, 0]], "boundary": 1.5}',
+    "nan": '{"n": 2, "d": [[0, NaN], [0, 0]]}',
+    "inf": '{"n": 2, "d": [[0, Infinity], [0, 0]]}',
+    "-inf": '{"n": 2, "d": [[0, -Infinity], [1, 0]]}',
+    "past-2**1023": _rational_chain(2 * 10**400),
+    "past-2**1023-broken": _rational_chain(0),
+    "empty": '{"n": 0, "d": []}',
+    "one-point": '{"n": 1, "d": [[0]]}',
+    "boundary-alone": '{"n": 1, "d": [[0]], "boundary": 0}',
+}
+
+
+@pytest.mark.parametrize("payload", sorted(FUZZ_PAYLOADS))
+def test_fuzz_every_causet_reading_subcommand(tmp_path, capsys, payload):
+    # exit 0 with strict JSON on stdout, or exit 1 or 2 with an error
+    # line; main itself never raises
+    path = tmp_path / "c.json"
+    path.write_text(FUZZ_PAYLOADS[payload])
+    p = str(path)
+    for argv in (["validate", p], ["gamma", p], ["tau", p],
+                 ["net", p, "--eps", "0.1"], ["rationalize", p],
+                 ["curvature", p], ["gh", p, p], ["gh", p, p, "--exact"],
+                 ["limit", p, p]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        if code:
+            assert err.startswith("error:"), (argv, err)
+        else:
+            strict_json(out)
 
 
 # -- experiments ----------------------------------------------------------------

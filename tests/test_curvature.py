@@ -29,7 +29,7 @@ from lorentzmet.curvature import (
     realizable,
 )
 from lorentzmet.diamond import DiamondSpace, SampleSpec, sample_causet
-from helpers import oracle_triangles
+from helpers import first_non_finite, oracle_triangles
 
 
 # x << p << y << q << z with d(p, q) too large for flat comparison
@@ -218,6 +218,8 @@ def test_triangle_budget_exhausted_matches_oracle():
 
 
 def test_non_finite_hosts_emit_no_warnings():
+    # negative and huge finite entries planted: the oracle's triangles,
+    # silently; one NaN or +-inf more and the host is refused, naming it
     rng = np.random.default_rng(5)
     for h in range(40):
         n = int(rng.integers(10, 90))
@@ -225,13 +227,17 @@ def test_non_finite_hosts_emit_no_warnings():
         d = host.d.copy()
         for _ in range(3):
             i, j = rng.integers(0, host.n, size=2)
-            d[i, j] = rng.choice([np.inf, -np.inf, np.nan])
-        host = Causet(host.labels, d)
+            d[i, j] = rng.choice([-0.5, 1e300, 0.0])
+        host = Causet(host.labels, d.copy())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = check_curvature_bound(host, max_triangles=50, seed=h)
         want = oracle_triangles(host, max_triangles=50, seed=h)
         assert [r.vertices for r in report.records] == want
+        i, j = rng.integers(0, host.n, size=2)
+        d[i, j] = rng.choice([np.inf, -np.inf, np.nan])
+        with pytest.raises(ValueError, match=first_non_finite(d)):
+            check_curvature_bound(Causet(host.labels, d), max_triangles=50)
 
 
 def test_report_json_shape():

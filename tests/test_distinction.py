@@ -21,8 +21,8 @@ from lorentzmet.distinction import (
 )
 from lorentzmet.causet import _chebyshev_gaps
 from lorentzmet.diamond import DiamondSpace, SampleSpec, sample_causet
-from helpers import (oracle_chebyshev_gaps, oracle_gamma, oracle_noldus,
-                     random_valid_matrix, wild_matrix)
+from helpers import (first_non_finite, oracle_chebyshev_gaps, oracle_gamma,
+                     oracle_noldus, random_valid_matrix, tame, wild_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -114,14 +114,18 @@ def test_hausdorff_gamma():
 
 
 def test_gamma_bytes_match_ordered_pair_oracle():
-    # one pdist per side against cdist over ordered pairs plus the mirror
+    # one pdist per side against cdist over ordered pairs plus the mirror;
+    # gamma refuses a NaN or +-inf entry, the gap kernel skips NaN gaps
     rng = np.random.default_rng(8)
     cases = [wild_matrix(rng, int(rng.integers(0, 30))) for _ in range(200)]
     cases += [sample_causet(DiamondSpace(), SampleSpec(count=150, seed=s)).d
               for s in range(2)]
     for d in cases:
+        if not np.isfinite(d).all():
+            with pytest.raises(ValueError, match=first_non_finite(d)):
+                gamma(Causet.from_matrix(d))
         if len(d):
-            assert gamma(Causet.from_matrix(d)).g.tobytes() == \
-                oracle_gamma(d).tobytes()
+            assert gamma(Causet.from_matrix(tame(d))).g.tobytes() == \
+                oracle_gamma(tame(d)).tobytes()
         got, want = _chebyshev_gaps(d), oracle_chebyshev_gaps(d)
         assert [g.tobytes() for g in got] == [g.tobytes() for g in want]

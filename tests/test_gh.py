@@ -415,6 +415,8 @@ def test_gh_exact_and_lstar_against_enumeration():
         r = gh_exact(a, b, max_exact_size=12)
         assert r.method == "exact" and r.exact == oracle_gh(a, b)
         assert r.stats["lstar"] <= r.exact == distortion(r.witness, a, b)
+        # so a budget-exhausted result's lower = L* loses nothing
+        assert gh_lower_bounds(a, b) <= r.stats["lstar"]
 
 
 def test_root_bound_holds_for_every_correspondence_with_the_pair():

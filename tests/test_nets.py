@@ -406,21 +406,25 @@ def _fitted_matrix(monkeypatch, seq, tol):
     return info.value.args[0]
 
 
-@pytest.mark.filterwarnings("ignore:invalid value")  # inf - inf spreads
 @pytest.mark.parametrize("length", [1, 3, 5, 6, 9, 14, 16, 24, 40])
 def test_limit_fit_matches_per_entry_loop(monkeypatch, length):
     rng = np.random.default_rng(length)
     n = 5
+    labels = tuple(f"p{k}" for k in range(n))
     base = rng.uniform(0.5, 3, (n, n))
     stack = np.array([base * (1 + rng.normal(0, 1, (n, n)) / m)
                       for m in range(20, 20 + length)])
     stack[:, 0, :] = 0.0                      # zero entries
     stack[:, 1, 1] = 2.5                      # a constant entry
-    stack[:, 0, 1], stack[:, 1, 0] = np.inf, -np.inf
+    stack[:, 0, 1], stack[:, 1, 0] = 1e308, -1e308  # huge constant entries
     stack[:, 3, 0] = -0.01 * (1 + 1 / np.arange(20, 20 + length))  # fit < 0
-    stack[-1, 2, 2] = np.nan                  # NaN in one member
-    stack[:, 2, 3], stack[-1, 2, 3] = np.inf, np.nan
-    seq = [Causet(tuple(f"p{k}" for k in range(n)), d) for d in stack]
+    for bad in (np.nan, np.inf):              # refused in one member
+        member = stack[-1].copy()
+        member[2, 2] = bad
+        with pytest.raises(ValueError, match=r"entry \(2, 2\)"):
+            limit_causet([Causet(labels, d) for d in stack[:-1]]
+                         + [Causet(labels, member)], tol=1.0)
+    seq = [Causet(labels, d) for d in stack]
     got = _fitted_matrix(monkeypatch, seq, tol=1.0)
     want = oracle_limit_matrix(seq)
     tail = stack[length // 2 if length >= 6 else 0:]
@@ -428,8 +432,8 @@ def test_limit_fit_matches_per_entry_loop(monkeypatch, length):
         assert got.tobytes() == want.tobytes()
         return
     # from 8 tail members on, LAPACK's many-column path sums in another
-    # order than its one-column path: fitted finite entries move by ulps
-    fitted = (tail.max(axis=0) != tail.min(axis=0)) & np.isfinite(tail).all(0)
+    # order than its one-column path: fitted entries move by ulps
+    fitted = tail.max(axis=0) != tail.min(axis=0)
     assert got[~fitted].tobytes() == want[~fitted].tobytes()
     assert np.abs(got[fitted] - want[fitted]).max() <= \
         64 * np.finfo(float).eps * base.max()
