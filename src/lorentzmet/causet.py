@@ -24,7 +24,6 @@ from functools import cached_property
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 __all__ = [
     "BoundaryError",
@@ -48,14 +47,14 @@ DEFAULT_TOL = 1e-9
 
 
 def _as_matrix(d) -> np.ndarray:
-    """Coerce input to a square matrix, float64 or object-of-Fraction."""
+    """Copy input to a square matrix, float64 or object-of-Fraction."""
     if isinstance(d, np.ndarray) and d.dtype == object:
         m = d.copy()
     else:
         try:
-            m = np.asarray(d, dtype=float)
+            m = np.array(d, dtype=float)
         except (TypeError, ValueError):
-            m = np.asarray(d, dtype=object)
+            m = np.array(d, dtype=object)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {m.shape}")
     return m
@@ -259,7 +258,9 @@ def _ordering(n: int, ordering: Sequence[int] | None) -> list[int]:
 
 def _sup_gaps(m: np.ndarray) -> np.ndarray:
     """Sup-norm gap of every two rows of m (contiguous: pdist is several
-    times slower on a strided view); NaN differences are skipped."""
+    times slower on a strided view); NaN differences are skipped.  The one
+    scipy import, made here on first use: it costs most of a cold start."""
+    from scipy.spatial.distance import pdist, squareform
     return squareform(pdist(m, "chebyshev")) if len(m) > 1 \
         else np.zeros(m.shape)
 
@@ -273,30 +274,93 @@ def _chebyshev_gaps(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 TWIN_BLOCK = 16
 
 
+def _sum_window(f: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The order sorting the sums s_i of row and column i of f (non-finite
+    entries counted as 0), and for the p-th point in that order a bound
+    hi[p] past every partner q > p within tol >= 0.
+
+    Such partners agree on every coordinate but those where both are
+    non-finite, so their exact sums differ by at most 2n tol; hi adds
+    the rounding error of the sums to that.
+    """
+    fin = np.isfinite(f)
+    top = max(f.max(where=fin, initial=0.0), -f.min(where=fin, initial=0.0))
+    # past 2**900 the entries are scaled below 1, so that no sum overflows;
+    # a power of two scales exactly but for underflow, 2**-1075 an entry
+    scale = 1.0 if top < 2.0**900 else np.ldexp(1.0, -np.frexp(top)[1])
+    g = f if scale == 1 else f * scale
+    s = g.sum(axis=1, where=fin) + g.sum(axis=0, where=fin)
+    order = np.argsort(s, kind="stable")
+    s = s[order]
+    # a sum of N = 2n terms of size at most a, in any order, errs by at
+    # most gamma_N N a <= (4/3) u N^2 a (Higham, Accuracy and Stability,
+    # sec. 4.2); w adds N tol-gaps and N underflows to two such errors,
+    # with a margin for the rounding of w itself
+    size = 2 * len(f)
+    w = (size * tol * scale + 4.0 * size * size * 2.0**-53 * top * scale
+         + size * 2.0**-1074) * (1 + 2.0**-40)
+    return order, np.searchsorted(s, np.nextafter(s + w, np.inf), "right")
+
+
 def _twins(f: np.ndarray, tol: float
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pairs i < j whose rows and columns of f are within tol in the sup
-    norm, and that gap.  A NaN difference counts as +inf when f holds a
-    NaN; otherwise one from inf - inf is skipped, as cdist skips it.
+    norm, and that gap, in lexicographic order.  A NaN difference counts
+    as +inf when f holds a NaN; otherwise one from inf - inf is skipped.
 
-    The gap over each point's first TWIN_BLOCK row and column coordinates
-    (NaN differences skipped) bounds its gap from below; only the pairs it
-    leaves within tol are measured in full, n/4 at a time: O(n^2) memory.
+    Candidates are the pairs close in the sorted row-plus-column sums
+    (`_sum_window`): O(n log n) plus time per candidate.  Those within tol
+    on the first TWIN_BLOCK row and column coordinates (NaN differences
+    skipped: a lower bound on the gap) are measured in full, n/4 at a
+    time, so memory stays O(n^2).
     """
     n = len(f)
-    both = np.hstack([f, f.T])  # row i: the row, then the column of i
-    low = pdist(np.hstack([f[:, :TWIN_BLOCK], f.T[:, :TWIN_BLOCK]]),
-                "chebyshev")
-    i, j = (v[low <= tol] for v in np.triu_indices(n, 1))
-    nan = np.inf if np.isnan(f).any() else 0.0
-    gap = np.empty(len(i))
-    step = n // 4 + 1
-    for s in range(0, len(i), step):
-        g = np.abs(both[i[s:s + step]] - both[j[s:s + step]])
-        g[np.isnan(g)] = nan
-        gap[s:s + step] = g.max(axis=1, initial=0.0)
+    none = np.zeros(0, dtype=np.intp)
+    if n < 2 or not tol >= 0:  # a gap is never negative
+        return none, none, np.zeros(0)
+    order, hi = _sum_window(f, tol)
+    count = hi - np.arange(1, n + 1)
+    ends = np.cumsum(count)
+    block = np.hstack([f[:, :TWIN_BLOCK], f.T[:, :TWIN_BLOCK]])
+    step = max(n * n // 64, n)  # candidate pairs per chunk
+    found_i, found_j = [none], [none]
+    p0 = 0
+    with np.errstate(invalid="ignore"):  # inf - inf: a skipped difference
+        while p0 < n:
+            base = ends[p0 - 1] if p0 else 0
+            p1 = max(p0 + 1, int(np.searchsorted(ends, base + step, "right")))
+            c = count[p0:p1]
+            p = np.repeat(np.arange(p0, p1), c)
+            q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(c) - c, c)
+            a, b = order[p], order[q]
+            low = np.fmax.reduce(np.abs(block[a] - block[b]), axis=1,
+                                 initial=0.0)
+            near = low <= tol
+            a, b = a[near], b[near]
+            found_i.append(np.minimum(a, b))
+            found_j.append(np.maximum(a, b))
+            p0 = p1
+        i, j = np.concatenate(found_i), np.concatenate(found_j)
+        lex = np.lexsort((j, i))
+        i, j = i[lex], j[lex]
+        nan = np.inf if np.isnan(f).any() else 0.0
+        gap = np.empty(len(i))
+        step = n // 4 + 1
+        for s in range(0, len(i), step):
+            a, b = i[s:s + step], j[s:s + step]
+            g = np.abs(np.hstack([f[a] - f[b], f.T[a] - f.T[b]]))
+            g[np.isnan(g)] = nan
+            gap[s:s + step] = g.max(axis=1, initial=0.0)
     near = gap <= tol
     return i[near], j[near], gap[near]
+
+
+def _magnitude(v) -> float:
+    """v as a float, +-inf for a Fraction past the float64 range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return np.inf if v > 0 else -np.inf
 
 
 def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -324,9 +388,10 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
     with np.errstate(invalid="ignore"):
         for i, j in np.argwhere(np.isnan(f) | (d < 0)):
             out.append(Violation("negative-entry", (int(i), int(j)),
-                                 float(d[i, j])))
+                                 _magnitude(d[i, j])))
         for i in np.flatnonzero(np.diag(d) > tol):
-            out.append(Violation("diagonal", (int(i),), float(d[i, i])))
+            out.append(Violation("diagonal", (int(i),),
+                                 _magnitude(d[i, i])))
 
         # Only the light cones of j can witness a defect at j: the past
         # ii = {i : d(i,j) > 0} and the future kk = {k : d(j,k) > 0}.
@@ -344,7 +409,8 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
                 i, k = int(ii[p]), int(kk[q])
                 if d[i, k] < d[i, j] + d[j, k] - tol:  # as in hit, for floats
                     out.append(Violation("reverse-triangle", (i, j, k),
-                                         float(d[i, j] + d[j, k] - d[i, k])))
+                                         _magnitude(d[i, j] + d[j, k]
+                                                    - d[i, k])))
 
         for i, j, gap in zip(*_twins(f, tol)):
             if not exact or ((d[i] == d[j]).all()
@@ -432,7 +498,7 @@ def strip_boundary(c: Causet) -> Causet:
     if c.boundary is None:
         raise ValueError("causet has no boundary point to strip")
     keep = [i for i in range(c.n) if i != c.boundary]
-    m = c.d[np.ix_(keep, keep)].copy()
+    m = c.d[np.ix_(keep, keep)]
     labels = tuple(c.labels[i] for i in keep)
     return Causet(labels, m, boundary=None, meta=c.meta)
 
@@ -442,7 +508,7 @@ def induced(c: Causet, indices: Sequence[int]) -> Causet:
     idx = list(indices)
     if len(set(idx)) != len(idx):
         raise ValueError("indices must be distinct")
-    m = c.d[np.ix_(idx, idx)].copy()
+    m = c.d[np.ix_(idx, idx)]
     labels = tuple(c.labels[i] for i in idx)
     return Causet(labels, m, boundary=_detect_boundary(m), meta=None)
 
@@ -501,7 +567,7 @@ def distance_quotient(m: Causet | np.ndarray, tol: float = 0.0
             reps.append(r)
         class_map.append(rep_pos[r])
 
-    q = d[np.ix_(reps, reps)].copy()
+    q = d[np.ix_(reps, reps)]
     labels = tuple(c.labels[r] for r in reps)
     out = Causet(labels, q, boundary=_detect_boundary(q), meta=c.meta)
     return out, class_map

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .causet import Causet, find_isometries
 
@@ -158,20 +157,29 @@ def gh_lower_bounds(a: Causet, b: Causet) -> float:
 def _profile_mismatch(da: np.ndarray, db: np.ndarray) -> np.ndarray:
     """mismatch[x, y]: sorted-profile sup gap, a heuristic match cost.
 
-    Profiles are padded at the front with zeros to a common length k; the
-    gaps come from cdist, so memory stays O(m n + (m + n) k).
+    Profiles are padded at the front with zeros to a common length k and
+    stored coordinate first, so the sup runs over the leading axis; the
+    gaps are taken a few rows x at a time, so memory stays
+    O(m n + (m + n) k).
     """
-    k = max(len(da), len(db))
+    m, n = len(da), len(db)
+    k = max(m, n)
 
-    def profiles(d):
-        p = np.zeros((2, len(d), k))
-        p[0, :, k - len(d):] = np.sort(d, axis=1)
-        p[1, :, k - len(d):] = np.sort(d.T, axis=1)
-        return p
+    def profiles(d):  # column x: the sorted row, then the sorted column
+        p = np.zeros((2, k, len(d)))
+        p[0, k - len(d):] = np.sort(d, axis=1).T
+        p[1, k - len(d):] = np.sort(d, axis=0)
+        return p.reshape(2 * k, len(d))
 
     pa, pb = profiles(da), profiles(db)
-    return np.maximum(cdist(pa[0], pb[0], "chebyshev"),
-                      cdist(pa[1], pb[1], "chebyshev"))
+    out = np.empty((m, n))
+    # rows x per chunk: at most max(m n + (m + n) k, 2**15) + 2 n k gaps
+    step = max(1, max(m * n + (m + n) * k, 2**15) // (2 * n * k))
+    for s in range(0, m, step):
+        gap = pa[:, s:s + step, None] - pb[:, None]
+        np.abs(gap, out=gap)
+        gap.max(axis=0, out=out[s:s + step])
+    return out
 
 
 def _variance_order(d: np.ndarray) -> list:

@@ -264,7 +264,8 @@ def rationalize(c: Causet, eps: float) -> Causet:
     p_min = min(d1[pos])
     if slack <= 0:  # stage one makes every valid input strictly slack
         raise ValueError("input causet breaks the reverse triangle "
-                         f"inequality (stage-one slack {float(slack)})")
+                         "inequality (stage-one slack "
+                         f"{'0' if slack == 0 else 'negative'})")
     margin = min(eps_f / 2, alpha / 8, p_min / 2, slack / 4)
 
     out = d1.copy()

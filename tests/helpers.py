@@ -12,9 +12,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from lorentzmet import Causet, Violation, validate
+from lorentzmet.causet import TWIN_BLOCK
 
 
 def closure(d: np.ndarray) -> np.ndarray:
@@ -175,6 +176,27 @@ def oracle_distinguishing(f: np.ndarray, tol) -> list:
     return [Violation("distinguishing", (int(i), int(j)),
                       float(max(rowgap[i, j], colgap[i, j])))
             for i, j in np.argwhere(np.triu(indist, 1))]
+
+
+def oracle_twins(f: np.ndarray, tol: float):
+    """causet._twins as a pdist filter on the first TWIN_BLOCK row and
+    column coordinates (NaN differences skipped), then the full gap of
+    each surviving pair, a NaN difference +inf when f holds a NaN."""
+    n = len(f)
+    both = np.hstack([f, f.T])
+    low = pdist(np.hstack([f[:, :TWIN_BLOCK], f.T[:, :TWIN_BLOCK]]),
+                "chebyshev")
+    i, j = (v[low <= tol] for v in np.triu_indices(n, 1))
+    nan = np.inf if np.isnan(f).any() else 0.0
+    gap = np.empty(len(i))
+    step = n // 4 + 1
+    with np.errstate(invalid="ignore"):
+        for s in range(0, len(i), step):
+            g = np.abs(both[i[s:s + step]] - both[j[s:s + step]])
+            g[np.isnan(g)] = nan
+            gap[s:s + step] = g.max(axis=1, initial=0.0)
+    near = gap <= tol
+    return i[near], j[near], gap[near]
 
 
 def corrupt(rng, d: np.ndarray) -> np.ndarray:
@@ -408,17 +430,26 @@ def random_fraction_matrix(rng, n) -> np.ndarray:
 # Plain Fraction loops: the reference for the float-filtered exact kernels
 # of validate, reverse_triangle_slack and rationalize.
 
+def _float_or_inf(v) -> float:
+    """float(v); a Fraction past the float64 range is +-inf."""
+    if abs(v) >= 2**1024 - 2**970:  # rounds past the largest float
+        return math.inf if v > 0 else -math.inf
+    return float(v)
+
+
 def oracle_validate_exact(d: np.ndarray) -> list:
-    """Axiom checks in exact Fraction arithmetic, witnesses in loop order."""
+    """Axiom checks in exact Fraction arithmetic, witnesses in loop order;
+    magnitudes past the float64 range are +-inf."""
     n = d.shape[0]
     out = []
     for i in range(n):
         for j in range(n):
             if d[i, j] < 0:
-                out.append(Violation("negative-entry", (i, j), float(d[i, j])))
+                out.append(Violation("negative-entry", (i, j),
+                                     _float_or_inf(d[i, j])))
     for i in range(n):
         if d[i, i] > 0:
-            out.append(Violation("diagonal", (i,), float(d[i, i])))
+            out.append(Violation("diagonal", (i,), _float_or_inf(d[i, i])))
     for i in range(n):
         for j in range(n):
             if d[i, j] <= 0:
@@ -427,7 +458,7 @@ def oracle_validate_exact(d: np.ndarray) -> list:
                 if d[j, k] > 0 and d[i, k] < d[i, j] + d[j, k]:
                     out.append(Violation(
                         "reverse-triangle", (i, j, k),
-                        float(d[i, j] + d[j, k] - d[i, k])))
+                        _float_or_inf(d[i, j] + d[j, k] - d[i, k])))
     for i in range(n):
         for j in range(i + 1, n):
             if all(d[i, z] == d[j, z] for z in range(n)) and \
@@ -573,6 +604,23 @@ def oracle_profile_mismatch(da: np.ndarray, db: np.ndarray) -> np.ndarray:
     gap_r = np.abs(ra[:, None, :] - rb[None, :, :]).max(axis=2)
     gap_c = np.abs(ca[:, None, :] - cb[None, :, :]).max(axis=2)
     return np.maximum(gap_r, gap_c)
+
+
+def oracle_profile_mismatch_cdist(da: np.ndarray, db: np.ndarray
+                                  ) -> np.ndarray:
+    """Sorted-profile sup gaps from two cdist(chebyshev) calls on the
+    zero-padded profiles."""
+    k = max(len(da), len(db))
+
+    def profiles(d):
+        p = np.zeros((2, len(d), k))
+        p[0, :, k - len(d):] = np.sort(d, axis=1)
+        p[1, :, k - len(d):] = np.sort(d.T, axis=1)
+        return p
+
+    pa, pb = profiles(da), profiles(db)
+    return np.maximum(cdist(pa[0], pb[0], "chebyshev"),
+                      cdist(pa[1], pb[1], "chebyshev"))
 
 
 def oracle_pairs_distortion(pairs, da, db):

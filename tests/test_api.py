@@ -4,6 +4,12 @@ Removing or renaming a public name is a deliberate edit of this list,
 recorded in CHANGES.md, never a side effect of a refactor.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import lorentzmet
 
 PUBLIC_NAMES = [
@@ -81,3 +87,32 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(lorentzmet.__all__) == PUBLIC_NAMES
+
+
+SCIPY_FREE = textwrap.dedent("""
+    import sys
+    from lorentzmet import *
+    c = sample_causet(DiamondSpace(), SampleSpec(count=40, seed=1))
+    s = sample_causet(DiamondSpace(), SampleSpec(count=5, seed=2))
+    validate(c)
+    validate(c.d, tol=0.5)
+    causal_relation(c)
+    time_function(c)
+    check_curvature_bound(c, max_triangles=5)
+    gh_exact(s, induced(c, range(5)))
+    gh_upper_greedy(c, s)
+    assert "scipy" not in sys.modules, "scipy loaded"
+    gamma(c)
+    assert "scipy" in sys.modules, "gamma without scipy"
+""")
+
+
+def test_scipy_loads_only_for_sup_norm_gaps():
+    # a fresh interpreter: a top-level scipy import anywhere in the package
+    # would put it back on every command-line start
+    src = str(Path(lorentzmet.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, strategies as st
 
 from lorentzmet import (
     Causet,
@@ -22,9 +23,10 @@ from lorentzmet import (
     strip_boundary,
     validate,
 )
-from lorentzmet.causet import DEFAULT_TOL, TWIN_BLOCK, BoundaryError
+from lorentzmet.causet import (DEFAULT_TOL, TWIN_BLOCK, BoundaryError,
+                               _sum_window, _twins)
 from helpers import (corrupt, nan_gaps, oracle_distinguishing, oracle_slack,
-                     oracle_validate_exact, oracle_violations,
+                     oracle_twins, oracle_validate_exact, oracle_violations,
                      random_fraction_matrix, random_valid_matrix, wild_matrix)
 
 
@@ -69,6 +71,15 @@ def test_matrix_is_frozen():
         r.d[0, 1] = Fraction(-5)
     m[0, 1] = Fraction(-5)  # the caller's array is copied, not frozen
     assert r.d[0, 1] == 1
+
+
+def test_caller_float_array_stays_writable():
+    for build in (lambda a: Causet(("a", "b"), a), Causet.from_matrix):
+        a = np.array(CHAIN2)
+        c = build(a)
+        assert a.flags.writeable
+        a[0, 1] = 9.0
+        assert c.d[0, 1] == 1.0 and c.as_float()[0, 1] == 1.0
 
 
 def test_validate_accepts_chains():
@@ -189,6 +200,68 @@ def test_distinguishing_pass_memory_when_every_pair_survives_the_filter():
     assert len(_distinguishing(rep)) == TWIN_BLOCK * (TWIN_BLOCK - 1) // 2
 
 
+TWIN_TOLS = (0.0, 1e-9, 0.6, -0.1, np.inf)
+
+
+def _same_arrays(got, want):
+    return all(g.dtype == w.dtype and np.array_equal(g, w)
+               for g, w in zip(got, want, strict=True))
+
+
+def test_twins_match_pdist_oracle():
+    # the sorted-sum filter against the 32-coordinate pdist filter it
+    # replaced: the same (i, j, gap) arrays, dtypes included
+    rng = np.random.default_rng(21)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for t in range(240):
+            n = int(rng.integers(0, 3 * TWIN_BLOCK))
+            kind = t % 4
+            if kind == 0:
+                d = wild_matrix(rng, n, rng.random())
+            elif kind == 1:  # many ties: every sum shared
+                d = rng.choice([0.0, 1.0], (n, n)) * (rng.random((n, n)) < .1)
+            elif kind == 2:  # random, with twins and near-twins planted
+                d = rng.uniform(0, 2, (n, n))
+                for i, j in rng.integers(0, n, (2, 2)) if n else ():
+                    d[j], d[:, j] = d[i], d[:, i]
+                    d[j, i] += rng.choice([0.0, 1e-12, 0.5])
+            else:  # specials among tiny or huge entries
+                d = wild_matrix(rng, n, 0.05) * rng.choice([1e-310, 1e300])
+            for tol in TWIN_TOLS:
+                assert _same_arrays(_twins(d, tol), oracle_twins(d, tol)), \
+                    (t, tol)
+
+
+def test_twin_filter_on_zero_points_before_a_chain():
+    # 16 all-zero points, then a 584-point chain: every pair agrees on the
+    # first 16 coordinates, but a chain point shares its sum only with its
+    # mirror image (i <-> 615 - i), so the candidates are the 120 pairs of
+    # zero points and the 292 mirror pairs, not all 179,700
+    n = 600
+    idx = np.arange(n, dtype=float)
+    d = np.maximum(idx[None, :] - idx[:, None], 0.0)
+    d[:TWIN_BLOCK] = 0.0
+    d[:, :TWIN_BLOCK] = 0.0
+    order, hi = _sum_window(d, DEFAULT_TOL)
+    assert (hi - np.arange(1, n + 1)).sum() == 120 + 292
+    assert _same_arrays(_twins(d, DEFAULT_TOL), oracle_twins(d, DEFAULT_TOL))
+
+
+def test_twin_filter_memory_when_every_pair_is_a_candidate():
+    # tol = inf keeps every pair through the sums, the block and the full
+    # measurement: chunks keep the candidates' block gathers O(n^2)
+    n = 300
+    d = np.random.default_rng(3).uniform(0, 1, (n, n))
+    tracemalloc.start()
+    try:
+        i, j, gap = _twins(d, np.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * n * n
+    assert len(i) == n * (n - 1) // 2
+
+
 def test_validate_rejects_nan_tol():
     # a NaN tol would compare False everywhere and pass an invalid matrix
     bad = Causet.from_matrix([[0, 1, 1.5], [0, 0, 1], [0, 0, 0]])
@@ -289,9 +362,8 @@ def test_exact_validate_and_slack_match_oracles():
         got = _outcome(lambda: list(validate(d).violations))
         want = _outcome(oracle_validate_exact, d)
         assert got == want
-        if want is not OverflowError:
-            ties += sum(v.kind == "reverse-triangle" and v.magnitude < 1e-20
-                        or v.kind == "distinguishing" for v in want)
+        ties += sum(v.kind == "reverse-triangle" and v.magnitude < 1e-20
+                    or v.kind == "distinguishing" for v in want)
         slack = oracle_slack(d)
         got = reverse_triangle_slack(Causet(tuple(map(str, range(len(d)))), d))
         assert got == (float("inf") if slack is None else slack)
@@ -446,3 +518,45 @@ def test_from_json_errors_name_the_field():
         Causet.from_json({"n": 2, "d": [[0.0], [0.0, 0.0]]})
     with pytest.raises(ValueError, match="'labels'"):
         Causet.from_json({"n": 1, "d": [[0.0]], "labels": ["a", "b"]})
+
+
+# -- JSON round trip -------------------------------------------------------
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _payloads(draw, rational):
+    entries = st.fractions() if rational else _FLOATS
+    n = draw(st.integers(0, 6))
+    d = np.array([[draw(entries) for _ in range(n)] for _ in range(n)],
+                 dtype=object).reshape(n, n)
+    labels = draw(st.lists(st.text(max_size=3), min_size=n, max_size=n,
+                           unique=True))
+    c = Causet(tuple(labels), d if rational else d.astype(float),
+               meta=draw(st.none() | st.just({"k": 1})))
+    if draw(st.booleans()):
+        c = adjoin_boundary(c, label="".join(labels) + "!")
+    return c
+
+
+def _assert_round_trip(c):
+    back = Causet.from_json(json.loads(json.dumps(c.to_json())))
+    assert (back.labels, back.boundary, back.meta, back.is_rational) == \
+        (c.labels, c.boundary, c.meta, c.is_rational)
+    assert back.d.shape == c.d.shape
+    if c.is_rational:
+        assert all(type(v) is Fraction for v in back.d.flat)
+        assert (back.d == c.d).all()
+    else:
+        assert back.d.tobytes() == c.d.tobytes()
+
+
+@given(_payloads(rational=False))
+def test_json_round_trip_float(c):
+    _assert_round_trip(c)
+
+
+@given(_payloads(rational=True))
+def test_json_round_trip_fraction(c):
+    _assert_round_trip(c)

@@ -376,6 +376,18 @@ def test_fuzz_every_causet_reading_subcommand(tmp_path, capsys, payload):
             strict_json(out)
 
 
+def test_fuzz_reverse_triangle_break_past_the_float_range(tmp_path, capsys):
+    # d(0, 2) = 0 against links of 10**400: the violation's size has no
+    # float64 value
+    path = tmp_path / "c.json"
+    path.write_text(FUZZ_PAYLOADS["past-2**1023-broken"])
+    rep = run_json(capsys, ["validate", str(path)])
+    assert rep == {"valid": False, "violations": [
+        {"kind": "reverse-triangle", "witness": [0, 1, 2], "magnitude": None}]}
+    assert main(["rationalize", str(path)]) == 1
+    assert "reverse triangle" in capsys.readouterr().err
+
+
 # -- experiments ----------------------------------------------------------------
 
 def test_experiment_csv_with_config_on_stderr(capsys):

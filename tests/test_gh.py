@@ -36,7 +36,8 @@ from lorentzmet.gh import (_branch_and_bound, _pair_table, _profile_mismatch,
                            _root_bound, epsilon_isometry_from, map_distortion)
 from helpers import (covering_masks, oracle_gh, oracle_gh_exact, oracle_greedy,
                      oracle_lower_bound, oracle_pairs_distortion,
-                     oracle_profile_mismatch, random_valid_matrix)
+                     oracle_profile_mismatch, oracle_profile_mismatch_cdist,
+                     random_valid_matrix)
 
 
 CHAIN_1 = Causet.from_matrix([[0.0, 1.0], [0.0, 0.0]])
@@ -294,6 +295,19 @@ def _search_instances():
                 Causet.from_matrix([[0, 0, 0, 0], [0, 0, 1, 0],
                                     [1, 0.5, 1, 0.5], [1, 0, 0, 0]])))
     return out
+
+
+def test_profile_mismatch_is_the_cdist_one_bitwise():
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        m, n = (int(v) for v in rng.integers(1, 13, 2))
+        da = random_valid_matrix(rng, m).as_float()
+        db = rng.choice([0.0, 0.5, 1.0], (n, n)) * (rng.random((n, n)) < .5)
+        for x, y in ((da, db), (db, da)):
+            got = _profile_mismatch(x, y)
+            assert got.tobytes() == \
+                oracle_profile_mismatch_cdist(x, y).tobytes()
+            assert got.shape == (len(x), len(y))
 
 
 def test_gh_search_matches_loop_oracles():
