@@ -110,13 +110,22 @@ class TimeFunction:
 
 def _tau_base(c: Causet, ordering: Sequence[int] | None):
     n, ordering = c.n, _ordering(c.n, ordering)
-    # exact weights on a Fraction payload, so object arithmetic stays exact
-    w = np.array([Fraction(1, 2 ** k) for k in range(1, n + 1)], dtype=object) \
-        if c.is_rational else 0.5 ** np.arange(1, n + 1)
-    d = c.d if c.is_rational else c.as_float()
     s = np.array(ordering, dtype=int)
-    # sum_n w_n d(s_n, x) - sum_n w_n d(x, s_n), halved
-    return (w @ d[s, :] - d[:, s] @ w) / 2, w, tuple(ordering)
+    if not c.is_rational:
+        w = 0.5 ** np.arange(1, n + 1)
+        d = c.as_float()
+        # sum_n w_n d(s_n, x) - sum_n w_n d(x, s_n), halved
+        return (w @ d[s, :] - d[:, s] @ w) / 2, w, tuple(ordering)
+    # exact weights; a nonzero entry d(i, j) adds W_i d(i, j) to point j and
+    # subtracts W_j d(i, j) from point i, with W_{s_n} = w_n / 2
+    w = np.array([Fraction(1, 2 ** k) for k in range(1, n + 1)], dtype=object)
+    half = (w / 2)[np.argsort(s)]
+    i, j = np.nonzero(c._image[2])
+    v = c.d[i, j]
+    base = np.full(n, Fraction(0), dtype=object)
+    np.add.at(base, j, half[i] * v)
+    np.subtract.at(base, i, half[j] * v)
+    return base, w, tuple(ordering)
 
 
 def time_function(c: Causet, ordering: Sequence[int] | None = None,
@@ -124,7 +133,9 @@ def time_function(c: Causet, ordering: Sequence[int] | None = None,
     """Time function from geometrically weighted distance profiles.
 
     Strictly increasing along strict J and, at alpha = 1, 1-Lipschitz with
-    respect to the distinction metric.
+    respect to the distinction metric.  A Fraction payload is exact, with
+    Fraction arithmetic once per nonzero entry of the causet's sign pattern
+    (signs read from the float image, exact only where an entry underflows).
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")

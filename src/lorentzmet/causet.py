@@ -115,18 +115,23 @@ class Causet:
         return self.d.dtype == object
 
     @cached_property
-    def _image(self) -> tuple[np.ndarray, float, tuple[int, int] | None]:
-        """_float_image of d, read-only, and its first non-finite entry."""
-        f, err = _float_image(self.d)
+    def _image(self) -> tuple[np.ndarray, float, np.ndarray | None,
+                              tuple[int, int] | None]:
+        """_signed_image of d, read-only, and its first non-finite entry."""
+        f, err, sign = _signed_image(self.d)
         f.flags.writeable = False
-        bad = np.argwhere(~np.isfinite(f))
-        return f, err, tuple(int(v) for v in bad[0]) if len(bad) else None
+        bad = np.argwhere(~np.isfinite(f)).tolist()
+        return f, err, sign, tuple(bad[0]) if bad else None
+
+    def _positive(self) -> np.ndarray:
+        """d > 0, read from the exact sign pattern on a Fraction payload."""
+        return self._image[2] > 0 if self.is_rational else self.d > 0
 
     def as_float(self) -> np.ndarray:
         """d in float64, computed once and read-only (d itself for a float
         payload); a ValueError names the first entry (i, j) with no finite
         float64 value, which only `validate` reports instead."""
-        f, _, bad = self._image
+        f, _, _, bad = self._image
         if bad is not None:
             raise ValueError(f"entry {bad} has no finite float64 value: "
                              f"{f[bad]}")
@@ -225,22 +230,40 @@ class ValidationReport:
                 "violations": [v.to_json() for v in self.violations]}
 
 
-def _float_image(d: np.ndarray) -> tuple[np.ndarray, float]:
-    """Float64 image f of an object-Fraction (or float) matrix, and a bound E.
+def _signed_image(d: np.ndarray
+                  ) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """Float64 image f of an object-Fraction (or float) matrix, a bound E,
+    and the exact sign (-1, 0, 1) of each Fraction entry (None for floats).
 
     Entries are correctly rounded (off by u|f| plus an underflow term, u =
     2**-53), or +-inf past 2**1023, left by callers to exact arithmetic.
     E = 32 u max|f| + 2**-1060 over the finite entries bounds, with room
     to spare, the error of comparing sums and differences of three of them.
+    Only the nonzero entries (Fraction.__bool__) are converted, and their
+    signs are those of f but where f underflows to +-0.0, decided exactly.
     """
-    try:
-        f = d.astype(float, copy=False)
-    except OverflowError:
-        f = np.array([float(v) if abs(v) < 2**1023 else
-                      np.inf if v > 0 else -np.inf for v in d.flat])
-        f = f.reshape(d.shape)
+    if d.dtype != object:
+        f, sign = d.astype(float, copy=False), None
+    else:
+        nz = d.astype(bool)
+        v = d[nz]
+        f = np.zeros(d.shape)
+        try:
+            f[nz] = v.astype(float)
+        except OverflowError:
+            f[nz] = [float(x) if abs(x) < 2**1023 else
+                     np.inf if x > 0 else -np.inf for x in v]
+        sign = (f > 0).astype(np.int8) - (f < 0)
+        under = nz & (sign == 0)  # an object NaN counts as negative
+        sign[under] = [1 if x > 0 else -1 for x in d[under]]
+        sign.flags.writeable = False
     fin = np.abs(f[np.isfinite(f)])
-    return f, 32 * 2.0**-53 * fin.max(initial=0.0) + 2.0**-1060
+    return f, 32 * 2.0**-53 * fin.max(initial=0.0) + 2.0**-1060, sign
+
+
+def _float_image(d: np.ndarray) -> tuple[np.ndarray, float]:
+    """f and E of _signed_image."""
+    return _signed_image(d)[:2]
 
 
 def _check_tol(tol) -> None:
@@ -375,28 +398,33 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
     the distinguishing pass measures in full only the pairs within tol on
     a first block of coordinates.  The report is that of the full O(n^3)
     comparisons.  Fraction payloads are exact: float64 filter, exact
-    refinement, each flagged defect decided exactly.
+    refinement, each flagged defect decided exactly.  Their signs (negative
+    entries, diagonal, light cones, zero rows) are read from the float
+    image cached with the causet, and decided exactly only where a nonzero
+    entry underflows to +-0.0 (_signed_image).
     """
     _check_tol(tol)
     d = c.d if isinstance(c, Causet) else _as_matrix(c)
-    f, err = c._image[:2] if isinstance(c, Causet) else _float_image(d)
+    f, err, sign = c._image[:3] if isinstance(c, Causet) \
+        else _signed_image(d)
     exact = d.dtype == object
-    # Fraction payloads: a float filter widened by f's bound, exact decisions
-    widen, tol = (err, 0) if exact else (-tol, tol)
+    # Fraction payloads: signs from the sign pattern, a float filter widened
+    # by f's bound, exact decisions
+    s, widen, tol = (sign, err, 0) if exact else (d, -tol, tol)
     n = d.shape[0]
     out: list[Violation] = []
     with np.errstate(invalid="ignore"):
-        for i, j in np.argwhere(np.isnan(f) | (d < 0)):
+        for i, j in np.argwhere(np.isnan(f) | (s < 0)):
             out.append(Violation("negative-entry", (int(i), int(j)),
                                  _magnitude(d[i, j])))
-        for i in np.flatnonzero(np.diag(d) > tol):
+        for i in np.flatnonzero(np.diag(s) > tol):
             out.append(Violation("diagonal", (int(i),),
                                  _magnitude(d[i, i])))
 
         # Only the light cones of j can witness a defect at j: the past
         # ii = {i : d(i,j) > 0} and the future kk = {k : d(j,k) > 0}.
         # NaN compares False everywhere below, matching naive float checks.
-        pos = d > 0
+        pos = s > 0
         for j in range(n):
             ii = np.flatnonzero(pos[:, j])
             kk = np.flatnonzero(pos[j])
@@ -418,7 +446,7 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
                 out.append(Violation("distinguishing", (int(i), int(j)),
                                      float(gap)))
 
-        zero = np.abs(d) <= tol
+        zero = np.abs(s) <= tol
         zi = np.flatnonzero(zero.all(axis=1) & zero.all(axis=0))
     if len(zi) >= 2:
         out.append(Violation("multiple-boundary", tuple(int(i) for i in zi), 0.0))
@@ -430,13 +458,15 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
     return ValidationReport(not out, tuple(out))
 
 
-def _min_slack(d: np.ndarray, pos: np.ndarray) -> float | Fraction:
+def _min_slack(d: np.ndarray, pos: np.ndarray, f: np.ndarray | None = None,
+               err: float = 0.0) -> float | Fraction:
     """Minimum of d(i,k) - d(i,j) - d(j,k) over pos(i,j), pos(j,k); +inf if
     no triple applies.  Visits the past x future block of each j, so memory
     stays O(n^2), and computes exactly only the slacks whose float value
-    (d_ik - d_ij) - d_jk is within 2E of the least one, or not finite.
+    (d_ik - d_ij) - d_jk, on the float image f (d itself by default) with
+    bound err, is within 2 err of the least one, or not finite.
     """
-    f, err = _float_image(d) if d.dtype == object else (d, 0.0)
+    f = d if f is None else f
     cones = [(np.flatnonzero(pos[:, j]), np.flatnonzero(pos[j]))
              for j in range(d.shape[0])]
     live = [j for j, (ii, kk) in enumerate(cones) if len(ii) and len(kk)]
@@ -466,12 +496,14 @@ def reverse_triangle_slack(c: Causet) -> float | Fraction:
     returns +inf when no triple applies.  Rational payloads are exact:
     float64 filter, exact refinement; float ones go through as_float.
     """
-    return _min_slack(c.d if c.is_rational else c.as_float(), c.d > 0)
+    if c.is_rational:
+        return _min_slack(c.d, c._positive(), *c._image[:2])
+    return _min_slack(c.as_float(), c.d > 0)
 
 
 def chronological_relation(c: Causet) -> set[tuple[int, int]]:
     """The relation I = {(i, j) : d(i, j) > 0}."""
-    return {(int(i), int(j)) for i, j in np.argwhere(c.d > 0)}
+    return {(int(i), int(j)) for i, j in np.argwhere(c._positive())}
 
 
 def diameter(c: Causet) -> float:

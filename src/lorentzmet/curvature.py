@@ -20,7 +20,8 @@ value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -187,6 +188,10 @@ class CurvatureReport:
     bound: str
     tol: float
     records: tuple[TriangleRecord, ...]
+    # the triangle search's counters (see check_curvature_bound); not part
+    # of to_json
+    stats: MappingProxyType = field(
+        default_factory=lambda: MappingProxyType({}))
 
     @property
     def n_violations(self) -> int:
@@ -278,6 +283,10 @@ def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
     of 8192 triples and tested together; numpy's bounded integers give a
     batch the same values as the same number of single-triple draws, so
     the triangles found are those of a one-triple-per-draw sampler.
+
+    `stats` holds `attempts` (n**3 triples examined, or the draws up to
+    the one that completed the set), `requested` (max_triangles), `found`
+    and `exhaustive`; found < requested when sampled is a shortfall.
     """
     if k != 0.0:
         raise ValueError("only the flat model k = 0 is implemented")
@@ -289,7 +298,9 @@ def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
     n = host.n
 
     triangles: list[TimelikeTriangle] = []
-    if max_triangles is None or n <= 64:
+    exhaustive = max_triangles is None or n <= 64
+    if exhaustive:
+        attempts = n ** 3
         # lexicographic (x, y, z) order, one (y, z) block per x
         for x in range(n):
             ok = _qualifying(d[x, :, None], d, d[x, None, :], min_sides)
@@ -319,6 +330,7 @@ def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
                 seen.add(key)
                 triangles.append(_triangle(d, *key))
                 if len(triangles) == max_triangles:
+                    attempts -= m - 1 - int(row)  # draws past this one
                     break
 
     records = []
@@ -350,4 +362,8 @@ def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
                     {"p": p, "q": q, "d": float(d[p, q]), "model": model}))
         records.append(TriangleRecord((tri.x, tri.y, tri.z),
                                       (tri.a, tri.b, tri.c), tuple(checks)))
-    return CurvatureReport(k, bound, float(tol), tuple(records))
+    stats = MappingProxyType({"attempts": attempts,
+                              "requested": max_triangles,
+                              "found": len(records),
+                              "exhaustive": exhaustive})
+    return CurvatureReport(k, bound, float(tol), tuple(records), stats)

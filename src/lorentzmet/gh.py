@@ -127,7 +127,7 @@ def _checked(c: Causet, name: str) -> np.ndarray:
         return c.as_float()
     except ValueError:
         raise ValueError(f"causet {name} has a non-finite entry at "
-                         f"{c._image[2]}") from None
+                         f"{c._image[3]}") from None
 
 
 def _value_gap(va: np.ndarray, vb: np.ndarray) -> float:

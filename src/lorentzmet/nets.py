@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .causet import (Causet, _chebyshev_gaps, _min_slack, distance_quotient,
-                     induced, validate)
+from .causet import (Causet, _chebyshev_gaps, _float_image, _min_slack,
+                     distance_quotient, induced, validate)
 from .distinction import GammaMatrix, gamma
 from .gh import Correspondence
 
@@ -214,13 +214,14 @@ def _min_gamma(d: np.ndarray, f: np.ndarray, err: float):
 def _link_counts(pos: np.ndarray) -> np.ndarray:
     """t[i][j]: maximal number of links of a chronological chain i -> j.
 
-    Max-plus closure, one step per k; row and column k stay fixed at step
-    k, since a causet's pos is acyclic.
+    Max-plus closure, one step per k over the chains through k only (the
+    rows of its past x the columns of its future); row and column k stay
+    fixed at step k, since a causet's pos is acyclic.
     """
     t = pos.astype(np.int64)
     for k in range(len(t)):
-        via = np.outer(t[:, k] > 0, t[k] > 0)
-        np.maximum(t, np.where(via, t[:, [k]] + t[[k], :], 0), out=t)
+        via = np.ix_(np.flatnonzero(t[:, k]), np.flatnonzero(t[k]))
+        t[via] = np.maximum(t[via], t[via[0], k] + t[k, via[1]])
     return t
 
 
@@ -240,8 +241,12 @@ def rationalize(c: Causet, eps: float) -> Causet:
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = c.n
-    d = np.frompyfunc(Fraction, 1, 1)(c.d if c.is_rational else c.as_float())
-    pos = c.d > 0  # a float and its Fraction share their sign
+    src = c.d if c.is_rational else c.as_float()
+    # Fraction() once per nonzero entry; the zeros share one Fraction(0)
+    nz = c._image[2] != 0 if c.is_rational else src != 0
+    d = np.full(src.shape, Fraction(0), dtype=object)
+    d[nz] = np.frompyfunc(Fraction, 1, 1)(src[nz])
+    pos = c._positive()  # a float and its Fraction share their sign
     if n < 2:
         return Causet(c.labels, d, boundary=c.boundary, meta=c.meta)
 
@@ -260,7 +265,7 @@ def rationalize(c: Causet, eps: float) -> Causet:
     d1 = d.copy()
     d1[pos] = d[pos] + delta * (t[pos] ** 2).astype(object)
 
-    slack = _min_slack(d1, pos)
+    slack = _min_slack(d1, pos, *_float_image(d1))
     p_min = min(d1[pos])
     if slack <= 0:  # stage one makes every valid input strictly slack
         raise ValueError("input causet breaks the reverse triangle "

@@ -235,12 +235,12 @@ def corrupt(rng, d: np.ndarray) -> np.ndarray:
 # -- curvature triangle oracle -------------------------------------------
 
 def oracle_triangles(host: Causet, min_sides=(0.0, 0.0, 0.0),
-                     max_triangles=200, seed=0) -> list:
+                     max_triangles=200, seed=0, stats=None) -> list:
     """Vertices of the triangles check_curvature_bound should pick.
 
     The triple loop for small hosts and the one-draw-per-iteration
     rejection sampler for large ones, written with per-triple scalar
-    tests.
+    tests.  The sampler puts its draw count in `stats["attempts"]`.
     """
     d = host.as_float()
     n = host.n
@@ -281,6 +281,8 @@ def oracle_triangles(host: Causet, min_sides=(0.0, 0.0, 0.0),
             tri = qualifies(x, y, z)
             if tri is not None:
                 triangles.append(tri)
+        if stats is not None:
+            stats["attempts"] = attempts
     return triangles
 
 
@@ -424,6 +426,22 @@ def random_fraction_matrix(rng, n) -> np.ndarray:
             d[i, j] = Fraction(10**309 + int(rng.integers(0, 5)))
         else:
             d[i, j] = Fraction(1, 10**321 + int(rng.integers(0, 5)))
+    return d
+
+
+def underflow_payload() -> np.ndarray:
+    """A fixed Fraction matrix whose signs the float image cannot show.
+
+    d(0, 1) = 1/10**400 and d(3, 4) = -1/10**400 have float images +0.0
+    and -0.0; d(1, 2) = d(0, 2) = 2**1024 are past 2**1023.  Read as zeros,
+    the two tiny entries would hide a reverse-triangle defect of
+    1/10**400 at (0, 1, 2), the negative entry, and make points 3 and 4
+    two boundary points that share their rows and columns.
+    """
+    tiny = Fraction(1, 10**400)
+    d = np.full((5, 5), Fraction(0), dtype=object)
+    d[0, 1], d[3, 4] = tiny, -tiny
+    d[1, 2] = d[0, 2] = Fraction(2**1024)
     return d
 
 

@@ -19,7 +19,9 @@ from lorentzmet.causal import Chain
 from lorentzmet.diamond import (DiamondSpace, SampleSpec, causet_from_points,
                                  diamond_distance, sample_causet)
 from helpers import (first_non_finite, oracle_causal_relation,
-                     oracle_tau_base, random_valid_matrix, tame, wild_matrix)
+                     oracle_tau_base, random_fraction_matrix,
+                     random_valid_matrix, tame, underflow_payload,
+                     wild_matrix)
 
 
 CHAIN2 = Causet.from_matrix([[0.0, 1.0], [0.0, 0.0]])
@@ -166,10 +168,25 @@ def test_time_function_matches_two_branch_oracle(n):
     for ordering in (None, list(rng.permutation(n)), list(range(n))[::-1]):
         got = time_function(floats, ordering).values
         assert got.tobytes() == oracle_tau_base(floats, ordering).tobytes()
-        got = time_function(exact, ordering).values
-        assert got.shape == (n,)
-        assert all(type(v) is Fraction for v in got)
-        assert list(got) == list(oracle_tau_base(exact, ordering))
+        _check_exact_tau(exact, ordering)
+    # exact payloads the float image cannot sign: the fixed underflow
+    # payload, and random ones with entries past 1e308 and below 1e-320
+    more = np.random.default_rng(100 + n)
+    payloads = [underflow_payload()] + [
+        random_fraction_matrix(more, int(more.integers(1, 9)))
+        for _ in range(10)]
+    for m in payloads:
+        c = Causet(tuple(f"p{k}" for k in range(len(m))), m)
+        for ordering in (None, list(more.permutation(c.n)),
+                         list(range(c.n))[::-1]):
+            _check_exact_tau(c, ordering)
+
+
+def _check_exact_tau(c, ordering):
+    got = time_function(c, ordering).values
+    assert got.shape == (c.n,)
+    assert all(type(v) is Fraction for v in got)
+    assert list(got) == list(oracle_tau_base(c, ordering))
 
 
 def test_time_function_affine_controls():

@@ -27,7 +27,8 @@ from lorentzmet.causet import (DEFAULT_TOL, TWIN_BLOCK, BoundaryError,
                                _sum_window, _twins)
 from helpers import (corrupt, nan_gaps, oracle_distinguishing, oracle_slack,
                      oracle_twins, oracle_validate_exact, oracle_violations,
-                     random_fraction_matrix, random_valid_matrix, wild_matrix)
+                     random_fraction_matrix, random_valid_matrix,
+                     underflow_payload, wild_matrix)
 
 
 CHAIN2 = [[0.0, 1.0], [0.0, 0.0]]
@@ -181,9 +182,13 @@ def test_validate_nan_is_never_within_tol():
     assert (0, 1) not in got and (1, 2) not in got and (2, 3) in got
 
 
-def test_distinguishing_pass_memory_when_every_pair_survives_the_filter():
-    # the first TWIN_BLOCK points have zero rows and columns, so every pair
-    # agrees on the filter's block and goes on to the full measurement
+def test_distinguishing_pass_memory_on_zero_points_before_a_chain():
+    # TWIN_BLOCK points with zero rows and columns, then a 284-point chain:
+    # validate reports exactly the 120 zero pairs as undistinguished, within
+    # a peak of 100 n^2 bytes.  Only those pairs and the 142 mirror pairs
+    # (i, 315 - i), whose row-plus-column sums tie, reach the full
+    # measurement; test_twin_filter_memory_when_every_pair_is_a_candidate
+    # covers the case where every pair does
     n = 300
     idx = np.arange(n, dtype=float)
     d = np.maximum(idx[None, :] - idx[:, None], 0.0)
@@ -354,20 +359,29 @@ def _outcome(fn, *args):
 
 def test_exact_validate_and_slack_match_oracles():
     # random Fraction matrices: mixed denominators, invalid entries,
-    # near-ties no float can decide, entries past 1e308 and below 1e-320
+    # near-ties no float can decide, entries past 1e308 and below 1e-320;
+    # first a fixed payload whose signs underflow in the float image
     rng = np.random.default_rng(17)
-    ties = 0
-    for _ in range(150):
-        d = random_fraction_matrix(rng, int(rng.integers(1, 9)))
+
+    def check(d):
         got = _outcome(lambda: list(validate(d).violations))
         want = _outcome(oracle_validate_exact, d)
         assert got == want
-        ties += sum(v.kind == "reverse-triangle" and v.magnitude < 1e-20
-                    or v.kind == "distinguishing" for v in want)
         slack = oracle_slack(d)
-        got = reverse_triangle_slack(Causet(tuple(map(str, range(len(d)))), d))
+        c = Causet(tuple(map(str, range(len(d)))), d)
+        got = reverse_triangle_slack(c)
         assert got == (float("inf") if slack is None else slack)
         assert type(got) is (float if slack is None else Fraction)
+        assert list(validate(c).violations) == want  # the cached signs
+        return want
+
+    assert {v.kind for v in check(underflow_payload())} == {
+        "negative-entry", "reverse-triangle"}
+    ties = 0
+    for _ in range(150):
+        want = check(random_fraction_matrix(rng, int(rng.integers(1, 9))))
+        ties += sum(v.kind == "reverse-triangle" and v.magnitude < 1e-20
+                    or v.kind == "distinguishing" for v in want)
     assert ties > 0
 
 

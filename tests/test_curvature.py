@@ -217,6 +217,40 @@ def test_triangle_budget_exhausted_matches_oracle():
     assert [r.vertices for r in report.records] == want
 
 
+def test_report_stats_show_a_shortfall():
+    # no triangle passes the filter on these 70-point hosts: the records
+    # alone say nothing, the stats say 0 of 500 after the whole budget
+    for seed in range(3):
+        host = sample_causet(DiamondSpace(), SampleSpec(count=70, seed=seed))
+        report = check_curvature_bound(host, max_triangles=500,
+                                       min_sides=(0.5, 0.5, 0.4))
+        assert report.records == ()
+        assert dict(report.stats) == {"attempts": 200_000, "requested": 500,
+                                      "found": 0, "exhaustive": False}
+    # a sample counts its draws up to the one that completed the set, as
+    # the one-draw-per-iteration oracle does, or the whole budget
+    host = sample_causet(DiamondSpace(), SampleSpec(count=300, seed=300))
+    for max_triangles in (10, 400):
+        want = {}
+        found = len(oracle_triangles(host, (0.2, 0.2, 0.05), max_triangles,
+                                     seed=4, stats=want))
+        report = check_curvature_bound(host, min_sides=(0.2, 0.2, 0.05),
+                                       max_triangles=max_triangles, seed=4)
+        assert dict(report.stats) == {
+            "attempts": want["attempts"], "requested": max_triangles,
+            "found": found, "exhaustive": False}
+    # small or uncapped hosts examine every index triple
+    host = sample_causet(DiamondSpace(), SampleSpec(count=40, seed=40))
+    for max_triangles in (None, 5):
+        report = check_curvature_bound(host, max_triangles=max_triangles)
+        assert dict(report.stats) == {
+            "attempts": 40**3, "requested": max_triangles,
+            "found": len(report.records), "exhaustive": True}
+    with pytest.raises(TypeError):
+        report.stats["found"] = 0
+    assert "stats" not in report.to_json()
+
+
 def test_non_finite_hosts_emit_no_warnings():
     # negative and huge finite entries planted: the oracle's triangles,
     # silently; one NaN or +-inf more and the host is refused, naming it
