@@ -4,162 +4,63 @@ Causets (finite Lorentzian distance matrices), axiom validation, the
 distinction metric, causal structure and time functions, Gromov-Hausdorff
 distances, epsilon-nets, rationalization, limits, a flat diamond sampler,
 and flat-model curvature comparison.
+
+Public names are loaded on first access (PEP 562), so a process imports
+only the submodules it uses.
 """
 
-from .causal import (
-    CausalRelation,
-    Chain,
-    TimeFunction,
-    causal_relation,
-    chain_length,
-    is_chain,
-    is_maximal,
-    longest_chain,
-    time_function,
-    time_function_normalized,
-)
-from .causet import (
-    Causet,
-    ValidationReport,
-    Violation,
-    adjoin_boundary,
-    chronological_relation,
-    diameter,
-    distance_quotient,
-    dump_causet,
-    find_isometries,
-    induced,
-    load_causet,
-    reverse_triangle_slack,
-    strip_boundary,
-    validate,
-)
-from .curvature import (
-    CheckRecord,
-    CurvatureReport,
-    SideParams,
-    SidePoint,
-    TimelikeTriangle,
-    TriangleRecord,
-    check_curvature_bound,
-    comparison_distance_m0,
-    comparison_triangle_m0,
-    realizable,
-)
-from .diamond import (
-    DiamondSpace,
-    SampleSpec,
-    causet_from_points,
-    diamond_distance,
-    diamond_gamma,
-    gamma_scaling_exponent,
-    sample_causet,
-)
-from .distinction import (
-    GammaMatrix,
-    KuratowskiVector,
-    gamma,
-    gamma_ball,
-    hausdorff_gamma,
-    kuratowski_distance,
-    kuratowski_embed,
-)
-from .gh import (
-    Correspondence,
-    GHResult,
-    compose,
-    distortion,
-    epsilon_isometry_from,
-    gh_exact,
-    gh_lower_bounds,
-    gh_upper_greedy,
-    gh_zero_is_isometry,
-    map_distortion,
-)
-from .nets import (
-    EpsilonNet,
-    FamilyReport,
-    MemberCheck,
-    TotallyBoundedParams,
-    check_uniformly_totally_bounded,
-    extract_net,
-    limit_causet,
-    net_correspondence,
-    net_to_causet,
-    rationalize,
-    simplest_rational_between,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CausalRelation",
-    "Causet",
-    "Chain",
-    "CheckRecord",
-    "Correspondence",
-    "CurvatureReport",
-    "DiamondSpace",
-    "EpsilonNet",
-    "FamilyReport",
-    "GHResult",
-    "GammaMatrix",
-    "KuratowskiVector",
-    "MemberCheck",
-    "SampleSpec",
-    "SideParams",
-    "SidePoint",
-    "TimeFunction",
-    "TimelikeTriangle",
-    "TotallyBoundedParams",
-    "TriangleRecord",
-    "ValidationReport",
-    "Violation",
-    "adjoin_boundary",
-    "causal_relation",
-    "causet_from_points",
-    "chain_length",
-    "check_curvature_bound",
-    "check_uniformly_totally_bounded",
-    "chronological_relation",
-    "comparison_distance_m0",
-    "comparison_triangle_m0",
-    "compose",
-    "diameter",
-    "diamond_distance",
-    "diamond_gamma",
-    "distance_quotient",
-    "distortion",
-    "dump_causet",
-    "epsilon_isometry_from",
-    "extract_net",
-    "find_isometries",
-    "gamma",
-    "gamma_ball",
-    "gamma_scaling_exponent",
-    "gh_exact",
-    "gh_lower_bounds",
-    "gh_upper_greedy",
-    "gh_zero_is_isometry",
-    "hausdorff_gamma",
-    "induced",
-    "is_chain",
-    "is_maximal",
-    "kuratowski_distance",
-    "kuratowski_embed",
-    "limit_causet",
-    "load_causet",
-    "longest_chain",
-    "map_distortion",
-    "net_correspondence",
-    "net_to_causet",
-    "rationalize",
-    "realizable",
-    "reverse_triangle_slack",
-    "sample_causet",
-    "simplest_rational_between",
-    "strip_boundary",
-    "time_function",
-    "time_function_normalized",
-    "validate",
-]
+# the kinds of `experiments.ExperimentConfig`, here so that the command
+# line can list them without loading the experiment runners
+EXPERIMENT_KINDS = ("convergence", "gamma-scaling", "curvature", "limit")
+
+_PUBLIC = {
+    "causal": ("CausalRelation", "Chain", "TimeFunction", "causal_relation",
+               "chain_length", "is_chain", "is_maximal", "longest_chain",
+               "time_function", "time_function_normalized"),
+    "causet": ("Causet", "ValidationReport", "Violation", "adjoin_boundary",
+               "chronological_relation", "diameter", "distance_quotient",
+               "dump_causet", "find_isometries", "induced", "load_causet",
+               "reverse_triangle_slack", "strip_boundary", "validate"),
+    "curvature": ("CheckRecord", "CurvatureReport", "SideParams", "SidePoint",
+                  "TimelikeTriangle", "TriangleRecord",
+                  "check_curvature_bound", "comparison_distance_m0",
+                  "comparison_triangle_m0", "realizable"),
+    "diamond": ("DiamondSpace", "SampleSpec", "causet_from_points",
+                "diamond_distance", "diamond_gamma", "gamma_scaling_exponent",
+                "sample_causet"),
+    "distinction": ("GammaMatrix", "KuratowskiVector", "gamma", "gamma_ball",
+                    "hausdorff_gamma", "kuratowski_distance",
+                    "kuratowski_embed"),
+    "gh": ("Correspondence", "GHResult", "compose", "distortion",
+           "epsilon_isometry_from", "gh_exact", "gh_lower_bounds",
+           "gh_upper_greedy", "gh_zero_is_isometry", "map_distortion"),
+    "nets": ("EpsilonNet", "FamilyReport", "MemberCheck",
+             "TotallyBoundedParams", "check_uniformly_totally_bounded",
+             "extract_net", "limit_causet", "net_correspondence",
+             "net_to_causet", "rationalize", "simplest_rational_between"),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import the submodule defining a public name, once, and bind it;
+    `lorentzmet.<submodule>` imports that submodule, as an eager package
+    would have."""
+    if name in _PUBLIC:
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -175,7 +175,11 @@ class Causet:
                        for row in rows for p in row):
                 raise ValueError("rational entries must be [numerator, "
                                  "nonzero denominator] pairs")
-            m = np.array([Fraction(p[0], p[1]) for row in rows for p in row],
+            # an integer zero pair is Fraction(0): one shared object
+            zero = Fraction(0)
+            m = np.array([zero if p[0] == 0 and type(p[0]) is int
+                          and type(p[1]) is int else Fraction(p[0], p[1])
+                          for row in rows for p in row],
                          dtype=object).reshape(n, n)
         else:
             m = np.asarray(rows, dtype=float).reshape(n, n)
@@ -279,13 +283,36 @@ def _ordering(n: int, ordering: Sequence[int] | None) -> list[int]:
     return ordering
 
 
+SUP_GAPS_NUMPY_MAX = 128
+"""Largest row count whose sup-norm gaps `_sup_gaps` computes in numpy.
+
+Past it, scipy's pdist.  Once loaded, pdist is the faster (medians of 31
+warm calls on diamond samples, 2-core x86-64, numpy vs pdist: 28 vs 13 us
+at n = 10, 175 vs 28 us at 40, 0.90 vs 0.18 ms at 100, 1.6 vs 0.35 ms at
+128, 14.3 vs 4.2 ms at 300), but importing scipy.spatial takes about
+0.22 s, most of a command-line start: at n <= 128 a process would need
+170 calls or more to repay it, at n = 300 about 20.
+"""
+
+
 def _sup_gaps(m: np.ndarray) -> np.ndarray:
-    """Sup-norm gap of every two rows of m (contiguous: pdist is several
-    times slower on a strided view); NaN differences are skipped.  The one
-    scipy import, made here on first use: it costs most of a cold start."""
-    from scipy.spatial.distance import pdist, squareform
-    return squareform(pdist(m, "chebyshev")) if len(m) > 1 \
-        else np.zeros(m.shape)
+    """Sup-norm gap of every two rows of m, NaN differences (inf - inf
+    among them) skipped; a zero diagonal.  Up to SUP_GAPS_NUMPY_MAX rows, a
+    numpy loop over the upper triangle, one row at a time, mirrored: O(n^2)
+    memory.  Past it, pdist on m (contiguous: pdist is several times slower
+    on a strided view): the one scipy import, made here on first use.  Both
+    give the bytes of cdist(m, m, "chebyshev")."""
+    n = len(m)
+    if n > SUP_GAPS_NUMPY_MAX:
+        from scipy.spatial.distance import pdist, squareform
+        return squareform(pdist(m, "chebyshev"))
+    out = np.zeros((n, n))
+    with np.errstate(invalid="ignore", over="ignore"):  # as pdist: silent
+        for x in range(n - 1):
+            gap = np.abs(m[x + 1:] - m[x])
+            out[x, x + 1:] = out[x + 1:, x] = np.fmax.reduce(
+                gap, axis=1, initial=0.0)
+    return out
 
 
 def _chebyshev_gaps(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -461,31 +488,50 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
 def _min_slack(d: np.ndarray, pos: np.ndarray, f: np.ndarray | None = None,
                err: float = 0.0) -> float | Fraction:
     """Minimum of d(i,k) - d(i,j) - d(j,k) over pos(i,j), pos(j,k); +inf if
-    no triple applies.  Visits the past x future block of each j, so memory
-    stays O(n^2), and computes exactly only the slacks whose float value
+    no triple applies.  Computes exactly only the slacks whose float value
     (d_ik - d_ij) - d_jk, on the float image f (d itself by default) with
     bound err, is within 2 err of the least one, or not finite.
+
+    One pass builds the past x future block of each j and keeps, with
+    their float values, the entries within 2 err of the least float value
+    so far, or not finite; those at or below the final threshold are then
+    computed exactly.  Past n^2 kept entries, those at or below the
+    running threshold are computed at once, so memory stays O(n^2); an
+    entry computed early whose float value ends above the final threshold
+    is exactly above the minimum, so it never changes the result.
     """
     f = d if f is None else f
-    cones = [(np.flatnonzero(pos[:, j]), np.flatnonzero(pos[j]))
-             for j in range(d.shape[0])]
-    live = [j for j, (ii, kk) in enumerate(cones) if len(ii) and len(kk)]
-
-    def block(j):
-        ii, kk = cones[j]
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in a loop
-            return (f[np.ix_(ii, kk)] - f[ii, j][:, None]) - f[j, kk][None, :]
-
-    thr = min((np.min(s, where=np.isfinite(s), initial=np.inf)
-               for s in map(block, live)), default=np.inf) + 2 * err
+    n = d.shape[0]
+    low = np.inf  # least finite float slack so far
     best = None
-    for j in live:
-        ii, kk = cones[j]
-        s = block(j)
-        for p, q in np.argwhere((s <= thr) | ~np.isfinite(s)):
-            v = d[ii[p], kk[q]] - d[ii[p], j] - d[j, kk[q]]
-            if best is None or v < best:
-                best = v
+    kept: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def refine(thr: float) -> None:
+        nonlocal best
+        for j, i, k, s in kept:
+            near = (s <= thr) | ~np.isfinite(s)
+            for a, b in zip(i[near], k[near]):
+                v = d[a, b] - d[a, j] - d[j, b]
+                if best is None or v < best:
+                    best = v
+        kept.clear()
+
+    size = 0
+    for j in range(n):
+        ii, kk = np.flatnonzero(pos[:, j]), np.flatnonzero(pos[j])
+        if not (len(ii) and len(kk)):
+            continue
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in a loop
+            s = (f[np.ix_(ii, kk)] - f[ii, j][:, None]) - f[j, kk][None, :]
+        fin = np.isfinite(s)
+        low = min(low, s.min(where=fin, initial=np.inf))
+        p, q = np.nonzero((s <= low + 2 * err) | ~fin)
+        kept.append((j, ii[p], kk[q], s[p, q]))
+        size += len(p)
+        if size > n * n:
+            refine(low + 2 * err)
+            size = 0
+    refine(low + 2 * err)
     return float("inf") if best is None else best
 
 

@@ -5,6 +5,10 @@ request), 2 on a usage error (bad flags, malformed files).  A reader that
 closes stdout early (`| head`) ends the command quietly with exit code 1,
 as in the Python documentation's recipe for SIGPIPE.  NaN and infinite
 values are written as JSON null; a value past float64 is a domain error.
+
+Each subcommand imports its own module when it runs, so a process loads
+only what its command uses; scipy loads only for the sup-norm gaps of more
+than `causet.SUP_GAPS_NUMPY_MAX` points.
 """
 
 from __future__ import annotations
@@ -15,14 +19,8 @@ import math
 import os
 import sys
 
+from . import EXPERIMENT_KINDS
 from .causet import BoundaryError, Causet, validate
-from .causal import time_function
-from .curvature import check_curvature_bound
-from .diamond import DiamondSpace, SampleSpec, sample_causet
-from .distinction import gamma
-from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
-from .gh import gh_exact, gh_upper_greedy
-from .nets import extract_net, limit_causet, rationalize
 
 
 class UsageError(Exception):
@@ -88,10 +86,12 @@ def cmd_validate(args) -> None:
 
 
 def cmd_gamma(args) -> None:
+    from .distinction import gamma
     _emit_json(gamma(_read_causet(args.causet)).to_json(), args.out)
 
 
 def cmd_tau(args) -> None:
+    from .causal import time_function
     c = _read_causet(args.causet)
     tf = time_function(c)
     _emit_json({"kind": "time-function",
@@ -100,6 +100,7 @@ def cmd_tau(args) -> None:
 
 
 def cmd_gh(args) -> None:
+    from .gh import gh_exact, gh_upper_greedy
     a = _read_causet(args.a)
     b = _read_causet(args.b)
     if args.exact:
@@ -110,6 +111,7 @@ def cmd_gh(args) -> None:
 
 
 def cmd_net(args) -> None:
+    from .nets import extract_net
     c = _read_causet(args.causet)
     net = extract_net(c, args.eps)
     _emit_json({"kind": "net", "eps": net.eps, "host_n": c.n,
@@ -117,11 +119,13 @@ def cmd_net(args) -> None:
 
 
 def cmd_rationalize(args) -> None:
+    from .nets import rationalize
     c = _read_causet(args.causet)
     _emit_json(rationalize(c, args.eps).to_json(), args.out)
 
 
 def cmd_sample(args) -> None:
+    from .diamond import DiamondSpace, SampleSpec, sample_causet
     if args.space != "diamond":
         raise UsageError(f"unknown space '{args.space}'")
     spec = SampleSpec(count=args.n, seed=args.seed, mode=args.mode,
@@ -130,6 +134,7 @@ def cmd_sample(args) -> None:
 
 
 def cmd_curvature(args) -> None:
+    from .curvature import check_curvature_bound
     c = _read_causet(args.causet)
     rep = check_curvature_bound(c, k=args.k, bound=args.bound, tol=args.tol,
                                 max_triangles=args.max_triangles,
@@ -138,11 +143,13 @@ def cmd_curvature(args) -> None:
 
 
 def cmd_limit(args) -> None:
+    from .nets import limit_causet
     seq = [_read_causet(p) for p in args.causets]
     _emit_json(limit_causet(seq, tol=args.tol).to_json(), args.out)
 
 
 def cmd_experiment(args) -> None:
+    from .experiments import ExperimentConfig, run_experiment
     try:
         sizes = tuple(int(s) for s in args.sizes.split(","))
         cfg = ExperimentConfig(kind=args.kind, sizes=sizes, seed=args.seed,

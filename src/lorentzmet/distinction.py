@@ -63,8 +63,21 @@ def gamma(c: Causet) -> GammaMatrix:
     Each unordered pair is visited once, over every row and column
     coordinate, and mirrored, so g is exactly symmetric with a zero
     diagonal; the bytes are those of the full ordered-pair comparison.
+    Up to `causet.SUP_GAPS_NUMPY_MAX` points the gaps come from numpy,
+    past it from scipy's pdist, imported on the first such call.
     """
     return GammaMatrix(c.labels, np.maximum(*_chebyshev_gaps(c.as_float())))
+
+
+def _gamma_of(c: Causet, g: GammaMatrix | None) -> GammaMatrix:
+    """g, checked to be a distinction matrix of c's points, or gamma(c)."""
+    if g is None:
+        return gamma(c)
+    if tuple(g.labels) != tuple(c.labels):
+        raise ValueError(f"the distinction matrix g ({g.n} points) is of "
+                         f"another causet: its labels are not those of the "
+                         f"{c.n}-point causet")
+    return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,8 +113,7 @@ def gamma_ball(c: Causet, center: int, r: float, closed: bool = True,
         raise ValueError(f"center index {center} out of range")
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    gm = g if g is not None else gamma(c)
-    row = gm.g[center]
+    row = _gamma_of(c, g).g[center]
     mask = row <= r if closed else row < r
     return tuple(int(i) for i in np.flatnonzero(mask))
 
@@ -113,6 +125,5 @@ def hausdorff_gamma(c: Causet, a_set: Iterable[int], b_set: Iterable[int],
     b = list(b_set)
     if not a or not b:
         raise ValueError("hausdorff_gamma needs nonempty sets")
-    gm = g if g is not None else gamma(c)
-    sub = gm.g[np.ix_(a, b)]
+    sub = _gamma_of(c, g).g[np.ix_(a, b)]
     return float(max(sub.min(axis=1).max(), sub.min(axis=0).max()))

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import EXPERIMENT_KINDS
 from .causet import Causet, induced, validate
 from .curvature import check_curvature_bound
 from .diamond import (DiamondSpace, SampleSpec, _pairwise_distances,
                       gamma_scaling_exponent, sample_causet)
 from .gh import distortion
 from .nets import EpsilonNet, extract_net, limit_causet, net_correspondence
-
-EXPERIMENT_KINDS = ("convergence", "gamma-scaling", "curvature", "limit")
 
 
 @dataclass(frozen=True)

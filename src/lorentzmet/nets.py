@@ -23,8 +23,7 @@ import numpy as np
 
 from .causet import (Causet, _chebyshev_gaps, _float_image, _min_slack,
                      distance_quotient, induced, validate)
-from .distinction import GammaMatrix, gamma
-from .gh import Correspondence
+from .distinction import GammaMatrix, _gamma_of, gamma
 
 __all__ = [
     "EpsilonNet",
@@ -60,7 +59,7 @@ def extract_net(c: Causet, eps: float, g: GammaMatrix | None = None
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     if c.n == 0:
         raise ValueError("cannot extract a net from an empty causet")
-    gm = g if g is not None else gamma(c)
+    gm = _gamma_of(c, g)
     members = [0]
     dist = gm.g[0].copy()
     while True:
@@ -80,7 +79,9 @@ def net_correspondence(net: EpsilonNet, g: GammaMatrix | None = None
     distortion is at most 2 eps because d is 1-Lipschitz in each slot
     with respect to the distinction metric.
     """
-    gm = g if g is not None else gamma(net.host)
+    from .gh import Correspondence  # not loaded by `extract_net` users
+
+    gm = _gamma_of(net.host, g)
     members = np.asarray(net.members)
     nearest = gm.g[:, members].argmin(axis=1)
     pairs = {(x, int(nearest[x])) for x in range(net.host.n)}

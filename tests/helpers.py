@@ -851,3 +851,35 @@ def oracle_limit_matrix(seq) -> np.ndarray:
             coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
             limit[i, j] = max(coef[0], 0.0)
     return limit
+
+
+def oracle_from_json(obj) -> Causet:
+    """Causet.from_json with one Fraction(p[0], p[1]) per rational entry,
+    every check made before any entry is converted."""
+    for key in ("n", "d"):
+        if key not in obj:
+            raise KeyError(f"causet JSON is missing field '{key}'")
+    n = obj["n"]
+    rows = obj["d"]
+    if not isinstance(rows, list) or len(rows) != n:
+        raise ValueError(f"field 'd' must be a list of {n} rows")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"field 'd' row {i} has length {len(row)}")
+    if obj.get("rational"):
+        if not all(isinstance(p, list) and len(p) == 2 and p[1] != 0
+                   for row in rows for p in row):
+            raise ValueError("rational entries must be [numerator, "
+                             "nonzero denominator] pairs")
+        m = np.array([Fraction(p[0], p[1]) for row in rows for p in row],
+                     dtype=object).reshape(n, n)
+    else:
+        m = np.asarray(rows, dtype=float).reshape(n, n)
+    labels = obj.get("labels")
+    if labels is None:
+        labels = [f"p{i}" for i in range(n)]
+    if len(labels) != n:
+        raise ValueError(f"field 'labels' has length {len(labels)}, "
+                         f"expected {n}")
+    return Causet(tuple(labels), m, boundary=obj.get("boundary"),
+                  meta=obj.get("meta"))

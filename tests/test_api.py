@@ -101,18 +101,48 @@ SCIPY_FREE = textwrap.dedent("""
     check_curvature_bound(c, max_triangles=5)
     gh_exact(s, induced(c, range(5)))
     gh_upper_greedy(c, s)
-    assert "scipy" not in sys.modules, "scipy loaded"
     gamma(c)
-    assert "scipy" in sys.modules, "gamma without scipy"
+    edge = sample_causet(DiamondSpace(), SampleSpec(count=128, seed=1))
+    assert edge.n == 128
+    gamma(edge)
+    assert "scipy" not in sys.modules, "scipy loaded"
+    big = sample_causet(DiamondSpace(), SampleSpec(count=129, seed=1))
+    assert big.n == 129
+    gamma(big)
+    assert "scipy" in sys.modules, "gamma on 129 points without scipy"
+""")
+
+VALIDATE_ONLY = textwrap.dedent("""
+    import sys
+    from lorentzmet.cli import main
+    assert main(["validate", sys.argv[1]]) == 0
+    for name in ("lorentzmet.gh", "lorentzmet.nets", "lorentzmet.curvature",
+                 "lorentzmet.experiments", "scipy"):
+        assert name not in sys.modules, name + " loaded"
+    import lorentzmet
+    namespace = {}
+    exec("from lorentzmet import *", namespace)
+    for name in lorentzmet.__all__:
+        assert namespace[name] is getattr(lorentzmet, name), name
 """)
 
 
-def test_scipy_loads_only_for_sup_norm_gaps():
-    # a fresh interpreter: a top-level scipy import anywhere in the package
+def _run_fresh(code: str, *args: str) -> None:
+    # a fresh interpreter: a top-level import anywhere in the package
     # would put it back on every command-line start
     src = str(Path(lorentzmet.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_loads_only_for_sup_norm_gaps():
+    _run_fresh(SCIPY_FREE)
+
+
+def test_validate_command_imports_only_its_modules(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"n": 2, "d": [[0, 1], [0, 0]]}')
+    _run_fresh(VALIDATE_ONLY, str(path))

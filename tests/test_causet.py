@@ -394,6 +394,30 @@ def test_float_slack_is_the_loop_value():
                                              else want)
 
 
+def test_slack_when_every_triple_ties_at_the_float_minimum():
+    # a chain d(i, k) = k - i ties every slack at 0, so every triple stays
+    # near the running minimum: past n^2 of them they are refined early,
+    # and memory stays O(n^2)
+    n = 100
+    idx = np.arange(n, dtype=float)
+    c = Causet.from_matrix(np.maximum(idx[None, :] - idx[:, None], 0.0))
+    tracemalloc.start()
+    try:
+        got = reverse_triangle_slack(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 0.0 and peak < 100 * n * n
+    # exact: a defect of 1e-30 at the last triples, below any float's reach
+    n = 24
+    d = np.array([[Fraction(max(k - i, 0)) for k in range(n)]
+                  for i in range(n)], dtype=object)
+    d[n - 5, n - 1] -= Fraction(1, 10**30)
+    got = reverse_triangle_slack(Causet.from_matrix(d))
+    assert got == oracle_slack(d) == Fraction(-1, 10**30)
+    assert type(got) is Fraction
+
+
 def test_reverse_triangle_slack():
     assert reverse_triangle_slack(Causet.from_matrix(CHAIN3)) == 0.0
     assert reverse_triangle_slack(Causet.from_matrix(CHAIN2)) == float("inf")

@@ -19,6 +19,7 @@ import lorentzmet
 from lorentzmet import Causet, DiamondSpace, SampleSpec, sample_causet
 from lorentzmet.cli import main
 from lorentzmet.experiments import ExperimentConfig
+from helpers import oracle_from_json
 
 CHAIN = Causet.from_matrix([[0.0, 1.0], [0.0, 0.0]])
 CHAIN_125 = Causet.from_matrix([[0.0, 1.25], [0.0, 0.0]])
@@ -374,6 +375,38 @@ def test_fuzz_every_causet_reading_subcommand(tmp_path, capsys, payload):
             assert err.startswith("error:"), (argv, err)
         else:
             strict_json(out)
+
+
+def _from_json_outcome(read, obj):
+    try:
+        c = read(obj)
+    except Exception as e:  # the kind and text of the refusal are compared
+        return type(e), str(e)
+    return (c.labels, c.boundary, c.meta, c.d.dtype,
+            [(type(v), repr(v)) for v in c.d.flat])
+
+
+def test_from_json_accepts_and_refuses_as_one_fraction_per_entry():
+    # zeros share one Fraction(0), but what is read, and every refusal
+    # with its message, is that of converting each entry on its own
+    payloads = []
+    for text in FUZZ_PAYLOADS.values():
+        try:
+            payloads.append(json.loads(text))
+        except json.JSONDecodeError:
+            pass
+    for entry in ([0.0, 1], [False, 1], [0, 0], [0, 1.0], [0, -3],
+                  [0, True], [True, 2], [-0, 5], [None, 1], [0, 1, 2]):
+        for where in ((0, 1), (1, 1)):
+            d = [[[0, 1], [1, 2]], [[0, 1], [0, 1]]]
+            d[where[0]][where[1]] = entry
+            payloads.append({"n": 2, "rational": True, "d": d})
+    for obj in payloads:
+        assert _from_json_outcome(Causet.from_json, obj) == \
+            _from_json_outcome(oracle_from_json, obj), obj
+    d = Causet.from_json({"n": 2, "rational": True,
+                          "d": [[[0, 1], [1, 2]], [[0, 7], [0, 1]]]}).d
+    assert len({id(v) for v in d.flat if v == 0}) == 1
 
 
 def test_fuzz_reverse_triangle_break_past_the_float_range(tmp_path, capsys):

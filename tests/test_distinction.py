@@ -19,7 +19,7 @@ from lorentzmet.distinction import (
     kuratowski_distance,
     kuratowski_embed,
 )
-from lorentzmet.causet import _chebyshev_gaps
+from lorentzmet.causet import SUP_GAPS_NUMPY_MAX, _chebyshev_gaps
 from lorentzmet.diamond import DiamondSpace, SampleSpec, sample_causet
 from helpers import (first_non_finite, oracle_chebyshev_gaps, oracle_gamma,
                      oracle_noldus, random_valid_matrix, tame, wild_matrix)
@@ -129,3 +129,32 @@ def test_gamma_bytes_match_ordered_pair_oracle():
                 oracle_gamma(tame(d)).tobytes()
         got, want = _chebyshev_gaps(d), oracle_chebyshev_gaps(d)
         assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+
+
+def test_sup_gaps_bitwise_on_both_sides_of_the_numpy_cutoff():
+    # numpy up to SUP_GAPS_NUMPY_MAX points, pdist past it: both must give
+    # cdist's bytes, NaN and inf - inf skipped, overflow to inf silent
+    cut = SUP_GAPS_NUMPY_MAX
+    rng = np.random.default_rng(17)
+    cases = []
+    for n in (1, 2, cut - 1, cut, cut + 1):
+        cases += [wild_matrix(rng, n), wild_matrix(rng, n, density=0.1),
+                  sample_causet(DiamondSpace(), SampleSpec(count=n, seed=n)).d]
+    cases += [np.where(rng.random((n, n)) < 0.5, 1e308, -1e308)
+              for n in (cut, cut + 1)]
+    for d in cases:
+        got, want = _chebyshev_gaps(d), oracle_chebyshev_gaps(d)
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+
+
+def test_balls_and_hausdorff_refuse_a_distinction_matrix_of_another_causet():
+    small = sample_causet(DiamondSpace(), SampleSpec(count=10, seed=1))
+    other = sample_causet(DiamondSpace(), SampleSpec(count=30, seed=1))
+    relabelled = Causet(tuple("abcdefghij"), small.d)
+    for g in (gamma(other), gamma(relabelled)):
+        with pytest.raises(ValueError, match="another causet"):
+            gamma_ball(small, 0, 0.1, g=g)
+        with pytest.raises(ValueError, match="another causet"):
+            hausdorff_gamma(small, [0], [1], g=g)
+    assert gamma_ball(small, 0, 0.1, g=gamma(small)) == \
+        gamma_ball(small, 0, 0.1)

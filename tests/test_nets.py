@@ -95,6 +95,23 @@ def test_net_correspondence_bound(diamond60):
             assert (m, k) in corr.pairs
 
 
+def test_nets_refuse_a_distinction_matrix_of_another_causet():
+    # a 30-point gamma on a 10-point host used to pick members past the
+    # host's last index, and net_to_causet then raised IndexError
+    c10 = sample_causet(DiamondSpace(), SampleSpec(count=10, seed=1))
+    c30 = sample_causet(DiamondSpace(), SampleSpec(count=30, seed=1))
+    with pytest.raises(ValueError, match="another causet"):
+        extract_net(c10, 0.05, g=gamma(c30))
+    net = extract_net(c10, 0.05)
+    with pytest.raises(ValueError, match="another causet"):
+        net_correspondence(net, g=gamma(c30))
+    relabelled = Causet(tuple("abcdefghij"), c10.d)
+    with pytest.raises(ValueError, match="another causet"):
+        net_correspondence(net, g=gamma(relabelled))
+    assert net_correspondence(net, g=gamma(c10)).pairs == \
+        net_correspondence(net).pairs
+
+
 def test_net_to_causet(diamond60):
     g = gamma(diamond60)
     coarse = net_to_causet(extract_net(diamond60, 0.3, g=g))
