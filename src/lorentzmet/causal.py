@@ -137,8 +137,8 @@ def time_function(c: Causet, ordering: Sequence[int] | None = None,
     Fraction arithmetic once per nonzero entry of the causet's sign pattern
     (signs read from the float image, exact only where an entry underflows).
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not alpha > 0:  # NaN too
+        raise ValueError(f"alpha must be positive, got {alpha}")
     base, w, ordering = _tau_base(c, ordering)
     return TimeFunction(alpha * base + beta, w, alpha, beta, ordering)
 

@@ -293,6 +293,9 @@ def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
     if bound not in ("lower", "upper"):
         raise ValueError(f"bound must be 'lower' or 'upper', got '{bound}'")
     _check_tol(tol)
+    if max_triangles is not None and max_triangles < 0:
+        raise ValueError(f"max_triangles must be nonnegative, got "
+                         f"{max_triangles}")
     params = tuple(side_params) if side_params is not None else _DEFAULT_PARAMS
     d = host.as_float()
     n = host.n

@@ -129,6 +129,8 @@ class SampleSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.mode not in ("uniform", "grid"):
             raise ValueError(f"unknown sample mode '{self.mode}'")
         if self.mode == "grid" and math.isqrt(self.count) ** 2 != self.count:

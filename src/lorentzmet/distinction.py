@@ -111,8 +111,8 @@ def gamma_ball(c: Causet, center: int, r: float, closed: bool = True,
     """Indices within distinction distance r of the center point."""
     if not 0 <= center < c.n:
         raise ValueError(f"center index {center} out of range")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    if not r >= 0:  # NaN too
+        raise ValueError(f"radius r must be nonnegative, got {r}")
     row = _gamma_of(c, g).g[center]
     mask = row <= r if closed else row < r
     return tuple(int(i) for i in np.flatnonzero(mask))

@@ -5,17 +5,16 @@ d_GH(X, Y) is the infimum of the distortion
     dis R = sup |d_X(x, x') - d_Y(y, y')|   over (x, y), (x', y') in R
 
 over correspondences R, i.e. relations covering both factors.  For finite
-spaces the infimum is attained on unions graph(f) u graph(g)^T with
-f: X -> Y and g: Y -> X, because every correspondence contains such a
-union, and a subset never has larger distortion.  The exact solver runs
-branch and bound over these function pairs, pruned by a per-pair lower
-bound and checked against L*, a lower bound from arc consistency.
+spaces it is attained, so it is one of the mismatches between two pairs.
+The exact solver decides, one such value t at a time, whether some R has
+dis R <= t, by a search that maintains arc consistency, and bisects the
+values from L*, the arc-consistency lower bound.
 
 Every result's upper is the distortion of its witness.  An `exact`
-result is d_GH itself: its value equals L*, or the search completed.  A
-`branch-bound` result (node budget exhausted) has lower = L*, a proven
-bound never below the value-set bound.  `gh_lower_bounds` and the greedy
-result's lower are the cheap value-set bound alone.
+result is d_GH itself.  A `branch-bound` result (node budget exhausted)
+has a proven lower bound, at least L* and never below the value-set bound.
+`gh_lower_bounds` and the greedy result's lower are the cheap value-set
+bound alone.
 """
 
 from __future__ import annotations
@@ -105,7 +104,7 @@ class GHResult:
     upper: float
     exact: float | None
     witness: Correspondence | None
-    method: str  # exact | branch-bound | greedy
+    method: str  # exact | greedy | branch-bound: the budget stopped search
     # gh_exact's search counters (see gh_exact), empty for greedy results;
     # not part of to_json
     stats: MappingProxyType = field(
@@ -182,10 +181,6 @@ def _profile_mismatch(da: np.ndarray, db: np.ndarray) -> np.ndarray:
     return out
 
 
-def _variance_order(d: np.ndarray) -> list:
-    return list(np.argsort(-d.var(axis=1), kind="stable"))
-
-
 def _dis(da, db, xs, ys):
     """Distortion of the pairs (xs[k], ys[k]), over ordered pairs of pairs.
 
@@ -237,9 +232,8 @@ def _greedy_once(da, db, x_order, y_order, mismatch, table):
 
     Slot k < m holds the pair (k, f(k)) and slot m + y the pair (g(y), y).
     reach[P] is the largest pair distortion between P and the filled slots
-    or P itself (_branch_and_bound's reach without the root bound); each
-    filled slot adds its row, read from the table if there is one, else
-    from _pair_rows.
+    or P itself; each filled slot adds its row, read from the table if
+    there is one, else from _pair_rows.
     """
     m, n = len(da), len(db)
     xs = np.concatenate([np.arange(m), np.zeros(n, dtype=int)])
@@ -297,20 +291,22 @@ def _function_pair_correspondence(m, n, f, g) -> Correspondence:
     return Correspondence(m, n, tuple(pairs))
 
 
-def _greedy_runs(da, db, mismatch, orders, seed, table):
-    """(distortion, f, g) of _greedy_once without end: the first run in the
-    given orders, each later one in a seeded shuffle."""
+def _greedy_runs(da, db, seed, table):
+    """(distortion, f, g) of _greedy_once without end: the first run in
+    decreasing row-variance order, each later one in a seeded shuffle."""
     m, n = len(da), len(db)
     rng = np.random.default_rng(seed)
-    xo, yo = orders
+    mismatch = _profile_mismatch(da, db)
+    xo, yo = (np.argsort(-d.var(axis=1), kind="stable") for d in (da, db))
     while True:
         yield _greedy_once(da, db, xo, yo, mismatch, table)
         xo, yo = rng.permutation(m), rng.permutation(n)
 
 
-def _best_run(runs, count, floor, best=None):
-    """Least (distortion, f, g) of best and the next count runs; stops at a
+def _best_run(runs, count, floor):
+    """Least (distortion, f, g) of the next count runs; stops at a
     distortion <= floor, a proven lower bound."""
+    best = None
     for val, f, g in itertools.islice(runs, count):
         if best is None or val < best[0]:
             best = (val, f, g)
@@ -329,12 +325,11 @@ def gh_upper_greedy(a: Causet, b: Causet, restarts: int = 32,
     """
     da, db = _checked(a, "a"), _checked(b, "b")
     m, n = len(da), len(db)
-    orders = (_variance_order(da), _variance_order(db))
     table = _pair_table(da, db) if m + n <= TABLE_MAX_POINTS else None
     if m * n > 10000:
         restarts = min(restarts, 2)
-    runs = _greedy_runs(da, db, _profile_mismatch(da, db), orders, seed, table)
-    val, f, g = _best_run(runs, max(1, restarts), 0.0)
+    val, f, g = _best_run(_greedy_runs(da, db, seed, table), max(1, restarts),
+                          0.0)
     return GHResult(lower=_lower_bound(da, db), upper=val, exact=None,
                     witness=_function_pair_correspondence(m, n, f, g),
                     method="greedy")
@@ -351,16 +346,12 @@ def _root_bound(table, m, n) -> np.ndarray:
     return np.maximum(h, table.diagonal())
 
 
-def _consistent(table, root, t, m, n) -> np.ndarray:
-    """Pairs that arc consistency (Mackworth 1977) keeps at threshold t.
-
-    A pair P survives while root[P] <= t and, for every x' and every y',
-    some surviving pair Q on that point has w[P, Q] <= t.  The pairs of a
-    correspondence with distortion <= t all survive, so an empty result
-    proves d_GH > t.
-    """
-    ok = table <= t
-    alive = root <= t
+def _consistent(ok, alive, m, n) -> np.ndarray:
+    """The pairs of alive that arc consistency (Mackworth 1977) keeps, in
+    place: it drops pairs until every alive P has, on every x' and every
+    y', an alive Q with ok[P, Q].  With ok = table <= t and alive = root <=
+    t, the pairs of a correspondence with distortion <= t all survive, so
+    an empty result proves d_GH > t."""
     while alive.any():
         s = (ok[alive] & alive).reshape(-1, m, n)
         keep = s.any(axis=2).all(axis=1) & s.any(axis=1).all(axis=1)
@@ -370,138 +361,124 @@ def _consistent(table, root, t, m, n) -> np.ndarray:
     return alive
 
 
-def _lstar(table, root, m, n) -> float:
-    """L*, the least table value at which arc consistency keeps a pair: a
-    lower bound on d_GH (itself a table value), found by binary search
-    since the surviving set only grows with t."""
-    values = np.unique(table)
+def _bisect(lo, hi, test, mid=None):
+    """(lo, hi) of a binary search for the least index that passes test,
+    given that hi and every index past a passing one pass.  The first
+    probe is mid, if given.  If test returns None the search stops, and
+    lo is the least index not yet refuted."""
+    while lo < hi:
+        mid = (lo + hi) // 2 if mid is None else mid
+        passed = test(mid)
+        if passed is None:
+            break
+        lo, hi = (lo, mid) if passed else (mid + 1, hi)
+        mid = None
+    return lo, hi
+
+
+def _lstar(table, root, values, m, n) -> int:
+    """Index in values (the sorted table values) of L*, the least value at
+    which arc consistency keeps a pair: a lower bound on d_GH, which is
+    itself a table value."""
     r = root.reshape(m, n)
     lo = int(np.searchsorted(values, max(r.min(axis=1).max(),
                                          r.min(axis=0).max())))
-    hi = len(values) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _consistent(table, root, values[mid], m, n).any():
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(values[lo])
+    return _bisect(lo, len(values) - 1, lambda i: bool(_consistent(
+        table <= values[i], root <= values[i], m, n).any()))[0]
 
 
-def _branch_and_bound(x_order, y_order, mismatch, table, root, floor,
-                      incumbent, inc_fg, node_budget):
-    """DFS over f then g assignments, pruning at the incumbent distortion.
+def _decide(table, root, t, m, n, budget):
+    """(pairs, nodes): the pair indices of a correspondence with distortion
+    <= t, False if there is none, or None once `budget` nodes are spent.
 
-    Returns (value, (f, g), completed, nodes_used).  The partial
-    distortion only grows as pairs are added, so any node at or above the
-    incumbent is cut.  Depth t assigns the pair (xs[t], ys[t]); reach[P]
-    is the largest table entry between the pair P and the assigned pairs,
-    or root[P], a lower bound on any correspondence holding P.  A y that f
-    already covers takes a preimage as g(y) without branching: the pair
-    is already in the relation, and every other choice only adds pairs.
-    The search stops once the incumbent reaches floor, a lower bound.
+    Maintains arc consistency (Sabin & Freuder 1994): each node branches on
+    the uncovered point with the fewest alive pairs (fail first), and each
+    alive pair P on it keeps alive only the pairs Q with table[P, Q] <= t,
+    which loses no pair of a correspondence within t that holds P.
     """
-    m, n = mismatch.shape
-    xs = np.concatenate([x_order, np.zeros(n, dtype=int)])
-    ys = np.concatenate([np.zeros(m, dtype=int), y_order])
-    # children in increasing profile mismatch, ties by index
-    sides = ((xs, ys, np.argsort(mismatch, axis=1, kind="stable")),
-             (ys, xs, np.argsort(mismatch.T, axis=1, kind="stable")))
-    slots = []
-    for t in range(m + n):
-        ps, qs, order = sides[t >= m]
-        cand = _slot_pairs(m, n, t, ps[t])
-        slots.append((qs, cand, order[ps[t]].tolist()))
-    y_at = ys.tolist()
-    best, fg, nodes, over, pre = incumbent, inc_fg, 0, False, {}
+    ok = table <= t
+    nodes = 0
 
-    def dfs(t, current, reach):
-        nonlocal best, fg, nodes, over, pre
-        if over or best <= floor:
-            return
-        if node_budget is not None and nodes >= node_budget:
-            over = True
-            return
+    def node(alive, chosen):
+        nonlocal nodes
+        covered = [p // n for p in chosen] + [m + p % n for p in chosen]
+        if len(set(covered)) == m + n:
+            return chosen
+        if nodes >= budget:
+            return None
         nodes += 1
-        if t == m:
-            pre = dict(zip(ys[:m].tolist(), xs[:m].tolist()))
-        while m <= t < m + n and y_at[t] in pre:
-            xs[t] = pre[y_at[t]]
-            t += 1
-        if t == m + n:
-            if current < best:
-                best = current or 0.0
-                f, g = np.empty(m, dtype=int), np.empty(n, dtype=int)
-                f[xs[:m]], g[ys[m:]] = ys[:m], xs[m:]
-                fg = (f.tolist(), g.tolist())
-            return
-        qs, cand, order = slots[t]
-        cost = np.maximum(reach[cand], current)
-        for q in order:
-            if cost[q] >= best:
-                continue
-            qs[t] = q
-            dfs(t + 1, cost[q],
-                np.maximum(reach, table[cand.start + q * cand.step]))
-            if over:
-                return
+        a = alive.reshape(m, n)
+        counts = np.concatenate([a.sum(axis=1), a.sum(axis=0)])
+        counts[covered] = m * n + 1
+        k = int(np.argmin(counts))
+        cand = np.arange(m * n)[_slot_pairs(m, n, k, k if k < m else k - m)]
+        for p in cand[alive[cand]].tolist():
+            narrowed = _consistent(ok, alive & ok[p], m, n)
+            found = node(narrowed, chosen + [p]) if narrowed[p] else False
+            if found is not False:
+                return found
+        return False
 
-    dfs(0, 0.0, root)
-    return best, fg, not over, nodes
+    return node(_consistent(ok, root <= t, m, n), []), nodes
 
 
 def gh_exact(a: Causet, b: Causet, max_exact_size: int = 6,
              node_budget: int | None = None) -> GHResult:
-    """Exact d_GH by branch and bound over function pairs, certified by L*.
+    """Exact d_GH by decision search over the table values, from L*.
 
     L* is the arc-consistency lower bound (see _consistent).  A greedy
-    warm start that reaches L* is exact without search; otherwise branch
-    and bound, with points assigned in decreasing row-variance order,
-    either completes (exact) or stops at the node budget.  Then the
-    result is `branch-bound`: upper is the best distortion found, at most
-    gh_upper_greedy's on the same input, and lower = L* is a proven lower
-    bound, never below the value-set bound (each value of a pair arc
-    consistency keeps has a partner within L*).  Instances with max(m, n)
-    beyond `max_exact_size`, or m + n beyond TABLE_MAX_POINTS, return
-    gh_upper_greedy's bounds.  `stats` holds the node count, whether the
-    budget ran out, L*, and what certified an exact value ("lstar" when
-    upper == L*, "search" for a completed search, else None).
+    warm start that reaches L* is exact without search; otherwise _decide
+    runs at L*, then at the table values that binary search picks below
+    the warm start's distortion.  Once `node_budget` decision nodes are
+    spent, the result is `branch-bound`: upper is the best distortion
+    found, at most gh_upper_greedy's, and lower the least table value no
+    completed decision refuted, at least L* and so at least the value-set
+    bound.  Past `max_exact_size` points on a side, or TABLE_MAX_POINTS in
+    all, it returns gh_upper_greedy's bounds.  `stats` holds the node
+    count, whether the budget ran out, L* and what certified an exact value
+    ("lstar" when upper == L*, "search" when decisions did, else None).
+    The witness is any correspondence of distortion upper.
     """
     m, n = a.n, b.n
     if max(m, n) > max_exact_size or m + n > TABLE_MAX_POINTS:
         return gh_upper_greedy(a, b)
 
     da, db = _checked(a, "a"), _checked(b, "b")
-    mismatch = _profile_mismatch(da, db)
-    orders = (_variance_order(da), _variance_order(db))
     table = _pair_table(da, db)
     root = _root_bound(table, m, n)
-    lstar = _lstar(table, root, m, n)
-    # the warm start's own (f, g) is the incumbent, so the witness of an
-    # unimproved search has the distortion reported as its upper bound
-    runs = _greedy_runs(da, db, mismatch, orders, 0, table)
+    values = np.unique(table)
+    lo = _lstar(table, root, values, m, n)
+    lstar = float(values[lo])
+    runs = _greedy_runs(da, db, 0, table)
     upper, f, g = _best_run(runs, 8, lstar)
-    nodes, completed = 0, True
-    if upper > lstar:
-        # a pair arc consistency drops below the incumbent is in no
-        # better correspondence: give it an infinite root bound
-        alive = _consistent(table, root, table[table < upper].max(), m, n)
-        upper, (f, g), completed, nodes = _branch_and_bound(
-            *orders, mismatch, table, np.where(alive, root, np.inf), lstar,
-            upper, (f, g), node_budget)
-        if not completed:
-            # gh_upper_greedy's 32 restarts, so upper never exceeds its bound
-            upper, f, g = _best_run(runs, 24, lstar, (upper, f, g))
-    certified = "lstar" if upper == lstar else "search" if completed else None
-    stats = MappingProxyType({"nodes": nodes, "budget_exhausted": not completed,
-                              "lstar": lstar, "certified_by": certified})
     witness = _function_pair_correspondence(m, n, f, g)
-    if certified:
-        return GHResult(lower=upper, upper=upper, exact=upper,
-                        witness=witness, method="exact", stats=stats)
-    return GHResult(lower=lstar, upper=upper,
-                    exact=None, witness=witness, method="branch-bound",
-                    stats=stats)
+    budget, nodes = np.inf if node_budget is None else node_budget, 0
+
+    def test(i):  # decide values[i], keeping any better witness it finds
+        nonlocal upper, witness, nodes
+        found, used = _decide(table, root, values[i], m, n, budget - nodes)
+        nodes += used
+        if found:
+            xs, ys = np.divmod(found, n)
+            if (dis := _dis(da, db, xs, ys)) < upper:
+                upper = dis
+                witness = Correspondence(m, n, tuple(zip(xs, ys)))
+        return None if found is None else bool(found)
+
+    lo, hi = _bisect(lo, int(np.searchsorted(values, upper)), test, mid=lo)
+    if upper > values[lo]:  # the budget ran out
+        # gh_upper_greedy's 32 restarts, so upper never exceeds its bound
+        val, f, g = _best_run(runs, 24, values[lo])
+        if val < upper:
+            upper, witness = val, _function_pair_correspondence(m, n, f, g)
+    certified = "lstar" if upper == lstar else \
+        "search" if upper == values[lo] else None
+    stats = MappingProxyType({"nodes": nodes, "budget_exhausted": lo < hi,
+                              "lstar": lstar, "certified_by": certified})
+    return GHResult(lower=upper if certified else float(values[lo]),
+                    upper=upper, exact=upper if certified else None,
+                    witness=witness, method="exact" if certified
+                    else "branch-bound", stats=stats)
 
 
 def epsilon_isometry_from(r: Correspondence, a: Causet, b: Causet

@@ -196,6 +196,9 @@ def test_time_function_affine_controls():
         time_function(CHAIN2, alpha=0)
     with pytest.raises(ValueError):
         time_function(CHAIN2, ordering=[0, 0])
+    # NaN <= 0 is False, so a plain sign test let it through to NaN values
+    with pytest.raises(ValueError, match="alpha must be positive, got nan"):
+        time_function(CHAIN2, alpha=float("nan"))
 
 
 def test_time_function_is_one_lipschitz(small_corpus):

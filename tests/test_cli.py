@@ -314,6 +314,12 @@ def test_curvature_report(tmp_path, capsys):
     assert len(rep["records"]) <= 5
 
 
+def test_curvature_negative_max_triangles_exits_1(tmp_path, capsys):
+    path = write_causet(tmp_path, CHAIN, "c.json")
+    assert main(["curvature", path, "--max-triangles", "-1"]) == 1
+    assert "max_triangles must be nonnegative" in capsys.readouterr().err
+
+
 def test_limit_of_chain_files(tmp_path, capsys):
     paths = []
     for m in range(1, 9):

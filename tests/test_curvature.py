@@ -175,6 +175,15 @@ def test_flat_sample_has_no_violations():
         assert report.n_ok > 0
 
 
+@pytest.mark.parametrize("n", [40, 100])
+def test_negative_max_triangles_is_refused_on_both_host_sizes(n):
+    # hosts of at most 64 points are enumerated, larger ones sampled; the
+    # first used to fail inside numpy, the second to return no records
+    host = sample_causet(DiamondSpace(), SampleSpec(count=n, seed=5))
+    with pytest.raises(ValueError, match="max_triangles must be nonnegative"):
+        check_curvature_bound(host, max_triangles=-1)
+
+
 def test_triangle_subsample_is_deterministic():
     host = sample_causet(DiamondSpace(), SampleSpec(count=100, seed=33))
     r1 = check_curvature_bound(host, max_triangles=10, seed=4)

@@ -131,6 +131,8 @@ def test_sample_spec_validation():
         SampleSpec(count=4, mode="poisson")
     with pytest.raises(ValueError, match="perfect-square"):
         SampleSpec(count=10, mode="grid")
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        SampleSpec(count=4, seed=-1)
 
 
 def test_sample_causet_deterministic():

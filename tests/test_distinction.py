@@ -98,6 +98,9 @@ def test_gamma_ball_closed_and_open():
         gamma_ball(c, 5, 1.0)
     with pytest.raises(ValueError):
         gamma_ball(c, 0, -1.0)
+    # every comparison with NaN is False, which made the ball empty
+    with pytest.raises(ValueError, match="radius r must be nonnegative"):
+        gamma_ball(c, 0, float("nan"))
 
 
 def test_hausdorff_gamma():

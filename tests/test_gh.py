@@ -3,7 +3,7 @@
 Core claims:
     - Correspondence covers both factors; distortion is the sup mismatch
     - composition obeys the distortion triangle lemma
-    - branch and bound equals full enumeration on small instances
+    - the exact decision search equals full enumeration on small instances
     - d_GH = 0 exactly when an isometry exists
     - any correspondence with distortion delta distorts gamma by <= 3 delta
 """
@@ -32,8 +32,8 @@ from lorentzmet import (
     induced,
     sample_causet,
 )
-from lorentzmet.gh import (_branch_and_bound, _pair_table, _profile_mismatch,
-                           _root_bound, epsilon_isometry_from, map_distortion)
+from lorentzmet.gh import (_pair_table, _profile_mismatch, _root_bound,
+                           epsilon_isometry_from, map_distortion)
 from helpers import (covering_masks, oracle_gh, oracle_gh_exact, oracle_greedy,
                      oracle_lower_bound, oracle_pairs_distortion,
                      oracle_profile_mismatch, oracle_profile_mismatch_cdist,
@@ -126,7 +126,7 @@ def test_gh_exact_matches_enumeration_oracle():
 
 def test_gh_exact_counts_the_self_term():
     # nonzero diagonals: a pair that appears once in the correspondence
-    # still costs |d_a(x, x) - d_b(y, y)|, in B&B and in the warm start
+    # still costs |d_a(x, x) - d_b(y, y)|, in the search and the warm start
     a = Causet.from_matrix([[2, 0], [1, 2]])
     b = Causet.from_matrix([[0, 1, 2], [1, 1, 2], [1, 2, 2]])
     r = gh_exact(a, b)
@@ -161,14 +161,31 @@ def test_gh_exact_budget_and_size_fallbacks():
     assert r.exact is None and r.method == "branch-bound"
     assert r.stats["nodes"] == 3 and r.stats["budget_exhausted"]
     assert r.stats["certified_by"] is None
-    # propagation lifts L* above the root bound alone, 0.20107
+    # propagation lifts L* above the root bound alone, 0.20107, and the
+    # decisions refuted in three nodes lift lower above L*
     assert r.stats["lstar"] == 0.204186150033772
-    assert r.lower == max(gh_lower_bounds(a, b), r.stats["lstar"]) < r.upper
+    assert max(gh_lower_bounds(a, b), r.stats["lstar"]) <= r.lower
+    assert r.lower == 0.2251943667445659 < r.upper
     assert r.upper <= gh_upper_greedy(a, b).upper
     full = gh_exact(a, b)
     assert full.method == "exact" and full.stats["certified_by"] == "search"
-    assert full.stats["lstar"] == r.stats["lstar"] < full.exact
+    assert full.stats["lstar"] == r.stats["lstar"] < r.lower < full.exact
     assert full.exact == 0.25544584186448216  # as the search without L* or H
+
+
+@pytest.mark.parametrize("count, seeds, value", [
+    (12, (3, 4), 0.21803883294881468),
+    (14, (1, 2), 0.26214632553128847),
+])
+def test_gh_exact_certifies_diamond_pairs_in_few_nodes(count, seeds, value):
+    # function-pair branch and bound spent 841,023 nodes on the first pair
+    # and ran out of budget on the second; here L* = d_GH on both
+    a, b = (sample_causet(DiamondSpace(), SampleSpec(count=count, seed=s))
+            for s in seeds)
+    r = gh_exact(a, b, max_exact_size=14, node_budget=1000)
+    assert r.method == "exact" and r.exact == value == r.stats["lstar"]
+    assert distortion(r.witness, a, b) == r.upper
+    assert r.stats["nodes"] <= 100
 
 
 def test_gh_upper_greedy():
@@ -327,29 +344,20 @@ def test_gh_search_matches_loop_oracles():
         # every y; lower, upper and the witness agree whatever the budget
         exact = oracle_gh_exact(da, db, 7)[2]
         greedy = gh_upper_greedy(a, b).upper
-        for budget in (3, 50, 1000, None):
+        # budgets 0 and -1 stop at once
+        for budget in (-1, 0, 3, 50, 1000, None):
             r = gh_exact(a, b, max_exact_size=7, node_budget=budget)
             assert distortion(r.witness, a, b) == r.upper <= greedy
-            assert r.stats["lstar"] <= exact <= r.upper
+            assert r.stats["lstar"] <= r.lower <= exact <= r.upper
+            assert budget is None or r.stats["nodes"] <= max(budget, 0)
             if r.method == "exact":
                 assert repr(r.exact) == repr(exact) == repr(r.upper)
                 assert r.lower == r.upper
             else:
                 assert (r.method, r.stats["budget_exhausted"]) == (
                     "branch-bound", True)
-                assert r.lower == max(oracle_lower_bound(da, db),
-                                      r.stats["lstar"])
-        # branch and bound alone, from an open start, with no L* to stop at
-        x_order = list(np.argsort(-da.var(axis=1), kind="stable"))
-        y_order = list(np.argsort(-db.var(axis=1), kind="stable"))
-        table = _pair_table(da, db)
-        value, (f, g), completed, _ = _branch_and_bound(
-            x_order, y_order, _profile_mismatch(da, db), table,
-            _root_bound(table, a.n, b.n), -np.inf, np.inf, None, None)
-        assert completed and repr(value) == repr(exact)
-        witness = Correspondence(a.n, b.n, tuple(enumerate(f)) + tuple(
-            (x, y) for y, x in enumerate(g)))
-        assert distortion(witness, a, b) == value
+                assert max(oracle_lower_bound(da, db),
+                           r.stats["lstar"]) <= r.lower <= exact
 
 
 def test_greedy_matches_loop_oracle_with_local_search_at_8_to_12_points():
@@ -393,9 +401,10 @@ def test_greedy_past_the_table_cap_matches_loop_oracle(monkeypatch):
 ])
 def test_gh_exact_witness_matches_upper_when_the_budget_runs_out(seed, xa,
                                                                  xb):
-    # after an exhausted budget the witness is the best (f, g) found, and
+    # after an exhausted budget the witness is the best one found, and
     # upper never exceeds gh_upper_greedy's: the warm start's 8 restarts
-    # left 0.3357 in the seed-100 case, where greedy's 32 find 0.2718 = L*
+    # left 0.3357 in the seed-100 case, where greedy's 32 find 0.2718 = L*;
+    # at budget 1000 the decision at L* finds it
     host = sample_causet(DiamondSpace(), SampleSpec(count=200, seed=seed))
     a, b = induced(host, xa), induced(host, xb)
     greedy = gh_upper_greedy(a, b).upper
