@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .causet import Causet, _check_tol, _ordering
+from .causet import Causet, _check_tol, _ordering, _points
 
 __all__ = [
     "CausalRelation",
@@ -179,15 +179,13 @@ def is_chain(c: Causet, points: Sequence[int], tol: float = 0.0
     Duplicated points violate strictness, so a repeated index is returned
     as a pair with itself.
     """
-    pts = [int(p) for p in points]
+    pts = _chain_points(c, points)
     if not pts:
         raise ValueError("a chain needs at least one point")
     _check_tol(tol)
     d = c.as_float()
     seen: set[int] = set()
     for p in pts:
-        if not 0 <= p < c.n:
-            raise ValueError(f"point index {p} out of range")
         if p in seen:
             return (p, p)
         seen.add(p)
@@ -198,15 +196,15 @@ def is_chain(c: Causet, points: Sequence[int], tol: float = 0.0
     return Chain(tuple(pts), bool((d[np.ix_(pts, pts)] > 0)[later].all()))
 
 
-def _chain_points(chain: Union[Chain, Sequence[int]]) -> list[int]:
-    if isinstance(chain, Chain):
-        return list(chain.points)
-    return [int(p) for p in chain]
+def _chain_points(c: Causet, chain: Union[Chain, Sequence[int]]
+                  ) -> list[int]:
+    """The chain's point indices, each checked to be a point of c."""
+    return _points(c.n, chain.points if isinstance(chain, Chain) else chain)
 
 
 def chain_length(c: Causet, chain: Union[Chain, Sequence[int]]) -> float:
     """Sum of consecutive distances, the length of the finest partition."""
-    pts = _chain_points(chain)
+    pts = _chain_points(c, chain)
     d = c.as_float()
     return float(sum(d[pts[i], pts[i + 1]] for i in range(len(pts) - 1)))
 
@@ -214,7 +212,7 @@ def chain_length(c: Causet, chain: Union[Chain, Sequence[int]]) -> float:
 def is_maximal(c: Causet, chain: Union[Chain, Sequence[int]],
                tol: float = 1e-9) -> bool:
     """Whether d is additive along every triple of the chain."""
-    pts = _chain_points(chain)
+    pts = _chain_points(c, chain)
     d = c.as_float()
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):

@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -265,11 +265,6 @@ def _signed_image(d: np.ndarray
     return f, 32 * 2.0**-53 * fin.max(initial=0.0) + 2.0**-1060, sign
 
 
-def _float_image(d: np.ndarray) -> tuple[np.ndarray, float]:
-    """f and E of _signed_image."""
-    return _signed_image(d)[:2]
-
-
 def _check_tol(tol) -> None:
     if tol != tol:  # NaN compares False everywhere: checks would be silent
         raise ValueError("tol must not be NaN")
@@ -281,6 +276,15 @@ def _ordering(n: int, ordering: Sequence[int] | None) -> list[int]:
     if sorted(ordering) != list(range(n)):
         raise ValueError("ordering must be a permutation of all points")
     return ordering
+
+
+def _points(n: int, points: Iterable[int]) -> list[int]:
+    """points as ints, each checked to index one of n points."""
+    pts = [int(p) for p in points]
+    for p in pts:
+        if not 0 <= p < n:  # a negative index would wrap silently
+            raise ValueError(f"point index {p} out of range")
+    return pts
 
 
 SUP_GAPS_NUMPY_MAX = 128
@@ -405,6 +409,29 @@ def _twins(f: np.ndarray, tol: float
     return i[near], j[near], gap[near]
 
 
+def _indistinguishable(f: np.ndarray, tol: float, d: np.ndarray | None = None):
+    """Pairs (i, j, gap) of `_twins(f, tol)`; given an exact payload d whose
+    image is f, only those whose rows and columns of d are equal."""
+    for i, j, gap in zip(*_twins(f, tol)):
+        if d is None or ((d[i] == d[j]).all() and (d[:, i] == d[:, j]).all()):
+            yield int(i), int(j), float(gap)
+
+
+def _cone_slacks(f: np.ndarray, pos: np.ndarray):
+    """For each j whose past ii = {i : pos(i,j)} and future kk = {k :
+    pos(j,k)} are nonempty, (j, ii, kk, s) with s the float slack block
+    (f[ii,kk] - f[ii,j]) - f[j,kk]: only these triples can witness a
+    reverse-triangle defect at j.  inf - inf gives NaN, as in a loop."""
+    for j in range(len(f)):
+        ii, kk = np.flatnonzero(pos[:, j]), np.flatnonzero(pos[j])
+        if len(ii) and len(kk):
+            s = f[np.ix_(ii, kk)]
+            with np.errstate(invalid="ignore", over="ignore"):
+                s -= f[ii, j][:, None]
+                s -= f[j, kk]
+            yield j, ii, kk, s
+
+
 def _magnitude(v) -> float:
     """v as a float, +-inf for a Fraction past the float64 range."""
     try:
@@ -435,12 +462,10 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
     f, err, sign = c._image[:3] if isinstance(c, Causet) \
         else _signed_image(d)
     exact = d.dtype == object
-    # Fraction payloads: signs from the sign pattern, a float filter widened
-    # by f's bound, exact decisions
-    s, widen, tol = (sign, err, 0) if exact else (d, -tol, tol)
-    n = d.shape[0]
+    # Fraction payloads: signs from the sign pattern, exact decisions
+    s, tol = (sign, 0) if exact else (d, tol)
     out: list[Violation] = []
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         for i, j in np.argwhere(np.isnan(f) | (s < 0)):
             out.append(Violation("negative-entry", (int(i), int(j)),
                                  _magnitude(d[i, j])))
@@ -448,30 +473,23 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
             out.append(Violation("diagonal", (int(i),),
                                  _magnitude(d[i, i])))
 
-        # Only the light cones of j can witness a defect at j: the past
-        # ii = {i : d(i,j) > 0} and the future kk = {k : d(j,k) > 0}.
-        # NaN compares False everywhere below, matching naive float checks.
-        pos = s > 0
-        for j in range(n):
-            ii = np.flatnonzero(pos[:, j])
-            kk = np.flatnonzero(pos[j])
-            sums = f[ii, j][:, None] + f[j, kk][None, :]
-            block = f[np.ix_(ii, kk)]
-            hit = block < sums + widen
-            if exact:
-                hit |= ~np.isfinite(block)
-            for p, q in np.argwhere(hit):
+        # Every defect d(i,k) < d(i,j) + d(j,k) - tol (exact, or the naive
+        # float check) has a slack not finite or below thr: on entries up
+        # to M the slack and the naive sum err by 9 u M + u |tol| at most
+        # (u = 2**-53), the image by 3 u M; E = 32 u M + 2**-1060 and
+        # 4 u |tol| cover them, with a sign that keeps inf - inf out.
+        thr = err - tol * (1 - np.copysign(4 * 2.0**-53, tol))
+        for j, ii, kk, slack in _cone_slacks(f, s > 0):
+            for p, q in zip(*np.nonzero((slack < thr)
+                                        | ~np.isfinite(slack))):
                 i, k = int(ii[p]), int(kk[q])
-                if d[i, k] < d[i, j] + d[j, k] - tol:  # as in hit, for floats
+                if d[i, k] < d[i, j] + d[j, k] - tol:
                     out.append(Violation("reverse-triangle", (i, j, k),
                                          _magnitude(d[i, j] + d[j, k]
                                                     - d[i, k])))
 
-        for i, j, gap in zip(*_twins(f, tol)):
-            if not exact or ((d[i] == d[j]).all()
-                             and (d[:, i] == d[:, j]).all()):
-                out.append(Violation("distinguishing", (int(i), int(j)),
-                                     float(gap)))
+        for i, j, gap in _indistinguishable(f, tol, d if exact else None):
+            out.append(Violation("distinguishing", (i, j), gap))
 
         zero = np.abs(s) <= tol
         zi = np.flatnonzero(zero.all(axis=1) & zero.all(axis=0))
@@ -492,7 +510,7 @@ def _min_slack(d: np.ndarray, pos: np.ndarray, f: np.ndarray | None = None,
     (d_ik - d_ij) - d_jk, on the float image f (d itself by default) with
     bound err, is within 2 err of the least one, or not finite.
 
-    One pass builds the past x future block of each j and keeps, with
+    One pass over the cone slack blocks (`_cone_slacks`) keeps, with
     their float values, the entries within 2 err of the least float value
     so far, or not finite; those at or below the final threshold are then
     computed exactly.  Past n^2 kept entries, those at or below the
@@ -517,12 +535,7 @@ def _min_slack(d: np.ndarray, pos: np.ndarray, f: np.ndarray | None = None,
         kept.clear()
 
     size = 0
-    for j in range(n):
-        ii, kk = np.flatnonzero(pos[:, j]), np.flatnonzero(pos[j])
-        if not (len(ii) and len(kk)):
-            continue
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in a loop
-            s = (f[np.ix_(ii, kk)] - f[ii, j][:, None]) - f[j, kk][None, :]
+    for j, ii, kk, s in _cone_slacks(f, pos):
         fin = np.isfinite(s)
         low = min(low, s.min(where=fin, initial=np.inf))
         p, q = np.nonzero((s <= low + 2 * err) | ~fin)
@@ -591,64 +604,40 @@ def induced(c: Causet, indices: Sequence[int]) -> Causet:
     return Causet(labels, m, boundary=_detect_boundary(m), meta=None)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def distance_quotient(m: Causet | np.ndarray, tol: float = 0.0
                       ) -> tuple[Causet, list[int]]:
     """Merge points with identical distance rows and columns.
 
     Returns the quotient causet (representatives keep their labels, first
     occurrence wins) and the class map sending each input index to its
-    output index.  With tol > 0, rows/columns within tol merge; closeness
-    is propagated transitively.
+    output index.  Points whose rows and columns are within tol in the
+    sup norm merge, and closeness is propagated transitively.  At tol = 0,
+    and at any tol on a float payload, the merged pairs are exactly those
+    `validate(m, tol)` reports as distinguishing; a Fraction payload at
+    tol = 0 is compared exactly, past the float range too.  A float
+    payload, and a Fraction one at tol != 0, go through `as_float`: a
+    non-finite entry raises ValueError.
     """
     c = m if isinstance(m, Causet) else Causet.from_matrix(m)
-    d, n = c.d, c.n
+    exact = c.is_rational and tol == 0
+    parent = list(range(c.n))  # union-find; a class's root is its first point
 
-    uf = _UnionFind(n)
-    if tol == 0.0:
-        seen: dict = {}
-        for i in range(n):
-            if c.is_rational:
-                key = (tuple(d[i, :]), tuple(d[:, i]))
-            else:
-                key = (d[i, :].tobytes(), d[:, i].tobytes())
-            if key in seen:
-                uf.union(seen[key], i)
-            else:
-                seen[key] = i
-    else:
-        for i, j in zip(*_twins(c.as_float(), tol)[:2]):
-            uf.union(int(i), int(j))
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    reps: list[int] = []
-    rep_pos: dict[int, int] = {}
-    class_map: list[int] = []
-    for i in range(n):
-        r = uf.find(i)
-        if r not in rep_pos:
-            rep_pos[r] = len(reps)
-            reps.append(r)
-        class_map.append(rep_pos[r])
-
-    q = d[np.ix_(reps, reps)]
+    for i, j, _ in _indistinguishable(c._image[0] if exact else c.as_float(),
+                                      tol, c.d if exact else None):
+        a, b = sorted((root(i), root(j)))
+        parent[b] = a
+    reps, class_map = np.unique(np.array([root(x) for x in range(c.n)],
+                                         dtype=np.intp), return_inverse=True)
+    q = c.d[np.ix_(reps, reps)]
     labels = tuple(c.labels[r] for r in reps)
     out = Causet(labels, q, boundary=_detect_boundary(q), meta=c.meta)
-    return out, class_map
+    return out, class_map.tolist()
 
 
 def _profile_keys(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

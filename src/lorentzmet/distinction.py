@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .causet import Causet, _chebyshev_gaps, _ordering
+from .causet import Causet, _chebyshev_gaps, _ordering, _points
 
 __all__ = [
     "GammaMatrix",
@@ -121,8 +121,7 @@ def gamma_ball(c: Causet, center: int, r: float, closed: bool = True,
 def hausdorff_gamma(c: Causet, a_set: Iterable[int], b_set: Iterable[int],
                     g: GammaMatrix | None = None) -> float:
     """Hausdorff distance between two point sets under gamma."""
-    a = list(a_set)
-    b = list(b_set)
+    a, b = _points(c.n, a_set), _points(c.n, b_set)
     if not a or not b:
         raise ValueError("hausdorff_gamma needs nonempty sets")
     sub = _gamma_of(c, g).g[np.ix_(a, b)]

@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .causet import (Causet, _chebyshev_gaps, _float_image, _min_slack,
-                     distance_quotient, induced, validate)
+from .causet import (Causet, _chebyshev_gaps, _min_slack, _signed_image,
+                     diameter, distance_quotient, induced, validate)
 from .distinction import GammaMatrix, _gamma_of, gamma
 
 __all__ = [
@@ -109,11 +109,11 @@ class TotallyBoundedParams:
     beta: tuple[int, ...]
 
     def __post_init__(self):
-        if self.diameter_bound < 0:
+        if not self.diameter_bound >= 0:  # NaN too
             raise ValueError("diameter bound must be nonnegative")
         if len(self.alpha) != len(self.beta):
             raise ValueError("alpha and beta must have equal length")
-        if any(a <= 0 for a in self.alpha):
+        if any(not a > 0 for a in self.alpha):
             raise ValueError("alpha scales must be positive")
         for i in range(len(self.alpha) - 1):
             if not self.alpha[i] > self.alpha[i + 1]:
@@ -152,7 +152,7 @@ def check_uniformly_totally_bounded(family: Sequence[Causet],
     checks: list[MemberCheck] = []
     for idx, c in enumerate(family):
         failure: dict | None = None
-        diam = float(c.as_float().max()) if c.n else 0.0
+        diam = diameter(c)
         if c.boundary is None:
             failure = {"kind": "no-boundary-point"}
         elif diam > params.diameter_bound:
@@ -266,7 +266,7 @@ def rationalize(c: Causet, eps: float) -> Causet:
     d1 = d.copy()
     d1[pos] = d[pos] + delta * (t[pos] ** 2).astype(object)
 
-    slack = _min_slack(d1, pos, *_float_image(d1))
+    slack = _min_slack(d1, pos, *_signed_image(d1)[:2])
     p_min = min(d1[pos])
     if slack <= 0:  # stage one makes every valid input strictly slack
         raise ValueError("input causet breaks the reverse triangle "

@@ -199,6 +199,22 @@ def oracle_twins(f: np.ndarray, tol: float):
     return i[near], j[near], gap[near]
 
 
+def oracle_quotient_map(c: Causet) -> list:
+    """distance_quotient's class map at tol = 0 from a dict keyed on each
+    point's row and column: Fraction tuples on an exact payload, bytes on
+    a float one (so -0.0 and 0.0 differ, and equal NaN bytes match).
+    Classes are numbered by their first point."""
+    seen: dict = {}
+    out = []
+    for i in range(c.n):
+        if c.is_rational:
+            key = (tuple(c.d[i]), tuple(c.d[:, i]))
+        else:
+            key = (c.d[i].tobytes(), c.d[:, i].tobytes())
+        out.append(seen.setdefault(key, len(seen)))
+    return out
+
+
 def corrupt(rng, d: np.ndarray) -> np.ndarray:
     """Inject one random defect; the result may violate several axioms."""
     d = d.copy()

@@ -244,6 +244,11 @@ def test_is_chain_accepts_and_reports():
         is_chain(ADDITIVE3, [])
     with pytest.raises(ValueError):
         is_chain(ADDITIVE3, [0, 9])
+    # every index is range-checked before a repeat is looked for
+    with pytest.raises(ValueError, match="point index 99 out of range"):
+        is_chain(ADDITIVE3, [0, 0, 99])
+    with pytest.raises(ValueError, match="point index -1 out of range"):
+        is_chain(ADDITIVE3, [0, -1])
 
 
 def test_is_chain_strict_j_without_chronology():
@@ -262,6 +267,15 @@ def test_chain_length_and_maximality():
     assert is_maximal(ADDITIVE3, [0, 1, 2])
     assert not is_maximal(SLACK3, [0, 1, 2])
     assert is_maximal(SLACK3, [0, 2])  # no interior triple
+    # a negative index used to wrap silently (chain_length(c, [0, -1])
+    # read d[0, n - 1]), a large one to end in numpy's IndexError
+    for fn in (chain_length, is_maximal):
+        for pts, bad in (([0, -1], -1), ([0, 1, 3], 3)):
+            with pytest.raises(ValueError,
+                               match=rf"point index {bad} out of range"):
+                fn(ADDITIVE3, pts)
+        with pytest.raises(ValueError, match="point index -3 out of range"):
+            fn(ADDITIVE3, Chain((0, -3), True))
 
 
 def test_coarsening_never_decreases_length(small_corpus):

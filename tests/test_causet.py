@@ -25,8 +25,10 @@ from lorentzmet import (
 )
 from lorentzmet.causet import (DEFAULT_TOL, TWIN_BLOCK, BoundaryError,
                                _sum_window, _twins)
-from helpers import (corrupt, nan_gaps, oracle_distinguishing, oracle_slack,
-                     oracle_twins, oracle_validate_exact, oracle_violations,
+from lorentzmet.diamond import diamond_distance
+from helpers import (corrupt, make_corpus, nan_gaps, oracle_distinguishing,
+                     oracle_quotient_map, oracle_slack, oracle_twins,
+                     oracle_validate_exact, oracle_violations,
                      random_fraction_matrix, random_valid_matrix,
                      underflow_payload, wild_matrix)
 
@@ -161,7 +163,7 @@ def test_validate_matches_full_comparison_on_nan_and_inf_payloads():
             d = wild_matrix(rng, int(rng.integers(0, 12)) if small else
                             int(rng.integers(TWIN_BLOCK, 3 * TWIN_BLOCK)),
                             0.5 if small else 0.05)
-            for tol in (0.0, 1e-9, 0.6, -0.1, np.inf):
+            for tol in (0.0, 1e-9, 0.6, -0.1, 1e6, np.inf, -np.inf):
                 rep = validate(d, tol)
                 assert _distinguishing(rep) == oracle_distinguishing(d, tol)
                 if small:
@@ -327,9 +329,15 @@ def test_validator_agrees_with_naive_oracle():
         assert got == oracle_violations(base)
 
 
+# the default, exact ties, one above every entry, negative and infinite
+WALK_TOLS = (DEFAULT_TOL, 0.0, 1e6, -0.3, np.inf, -np.inf)
+
+
 def test_reverse_triangle_witnesses_match_oracle():
     # sparse valid spaces and dense random matrices, each with a NaN, a
-    # +inf and a negative entry planted
+    # +inf and a negative entry planted; the valid spaces' closure sums
+    # leave triples off by an ulp, which the walk's float slack and the
+    # naive sum round apart, so at tol = 0 they test the threshold's width
     rng = np.random.default_rng(11)
     for trial in range(30):
         n = int(rng.integers(2, 26))
@@ -341,13 +349,16 @@ def test_reverse_triangle_witnesses_match_oracle():
         for value in (np.nan, np.inf, -0.5):
             i, j = rng.integers(0, n, size=2)
             d[i, j] = value
-        got = [v for v in validate(d).violations if v.kind == "reverse-triangle"]
-        want = sorted(w for kind, w in oracle_violations(d)
-                      if kind == "reverse-triangle")
-        assert [v.witness for v in got] == want
-        for v in got:
-            i, j, k = v.witness
-            assert v.magnitude == float(d[i, j] + d[j, k] - d[i, k])
+        for tol in WALK_TOLS:
+            got = [v for v in validate(d, tol).violations
+                   if v.kind == "reverse-triangle"]
+            with np.errstate(invalid="ignore"):  # the oracle's inf - inf
+                want = sorted(w for kind, w in oracle_violations(d, tol)
+                              if kind == "reverse-triangle")
+                assert [v.witness for v in got] == want, (trial, tol)
+                for v in got:
+                    i, j, k = v.witness
+                    assert v.magnitude == float(d[i, j] + d[j, k] - d[i, k])
 
 
 def _outcome(fn, *args):
@@ -485,6 +496,71 @@ def test_distance_quotient_tol_merges_close_profiles():
     q, cmap = distance_quotient(Causet.from_matrix(base), tol=2e-3)
     assert q.n == 2
     assert cmap == [0, 1, 1]
+
+
+def _quotient_checks(c):
+    """The class map of distance_quotient at tol = 0 is the dict oracle's,
+    and its classes are the cliques of validate's distinguishing pairs."""
+    q, cmap = distance_quotient(c)
+    assert cmap == oracle_quotient_map(c)
+    same = {(i, j) for i in range(c.n) for j in range(i + 1, c.n)
+            if cmap[i] == cmap[j]}
+    assert same == {v.witness for v in _distinguishing(validate(c, 0.0))}
+    assert q.n == len(set(cmap))
+    return cmap
+
+
+def test_quotient_matches_dict_oracle_on_fraction_matrices():
+    # random_fraction_matrix plants duplicates, pairs 1/10**30 of the
+    # scale apart and entries past 2**1023; below, planted duplicates whose
+    # copy differs by a Fraction that rounds to the same float
+    rng = np.random.default_rng(29)
+    merged = apart = 0
+    for t in range(300):
+        n = int(rng.integers(1, 9))
+        d = random_fraction_matrix(rng, n)
+        if t % 3 == 0 and n > 2:
+            i, j = (int(v) for v in rng.choice(n, 2, replace=False))
+            d[j], d[:, j] = d[i], d[:, i]
+            d[i, j] = d[j, i] = d[j, j] = d[i, i]
+            if t % 2:
+                z = int(rng.integers(0, n))
+                d[z, j] += (abs(d[z, j]) or Fraction(1, 10**300)) / 10**40
+        c = Causet(tuple(map(str, range(n))), d)
+        cmap = _quotient_checks(c)
+        merged += len(set(cmap)) < n
+        f = c._image[0]
+        apart += any((f[i] == f[j]).all() and (f[:, i] == f[:, j]).all()
+                     and cmap[i] != cmap[j]
+                     for i in range(n) for j in range(i + 1, n))
+    assert merged > 20 and apart > 20
+
+
+def test_quotient_matches_dict_oracle_on_samples_and_corpus():
+    for k in range(2, 11):  # grids of 4 to 100 points, before the quotient
+        axis = np.linspace(0.0, 1.0, k)
+        pts = [(u, v) for u in axis for v in axis]
+        d = np.array([[diamond_distance(p, q) for q in pts] for p in pts])
+        assert len(set(_quotient_checks(Causet.from_matrix(d)))) < k * k
+    for c in make_corpus(count=100):
+        _quotient_checks(c)
+
+
+def test_quotient_merges_signed_zeros_and_refuses_nan():
+    # points 1 and 2 differ only in the sign of a zero: validate reports
+    # them as undistinguished, and the quotient merges them
+    d = np.zeros((3, 3))
+    d[0, 1] = d[0, 2] = 1.0
+    d[2, 1] = -0.0
+    c = Causet.from_matrix(d)
+    assert [v.witness for v in _distinguishing(validate(c))] == [(1, 2)]
+    q, cmap = distance_quotient(c)
+    assert cmap == [0, 1, 1] and q.labels == ("p0", "p1")
+    # a NaN payload is refused at every tol, 0 included
+    d[0, 2] = np.nan
+    for tol in (0.0, 0.5):
+        with pytest.raises(ValueError, match=r"entry \(0, 2\)"):
+            distance_quotient(d, tol)
 
 
 def test_induced_preserves_order():

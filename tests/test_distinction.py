@@ -114,6 +114,11 @@ def test_hausdorff_gamma():
         hausdorff_gamma(c, [1], [0, 2], g=g)
     with pytest.raises(ValueError):
         hausdorff_gamma(c, [], [1])
+    # a negative index used to wrap to the last point, a large one to end
+    # in numpy's IndexError
+    for a, b, bad in (([0, -1], [1], -1), ([0], [1, 3], 3)):
+        with pytest.raises(ValueError, match=rf"point index {bad} out"):
+            hausdorff_gamma(c, a, b, g=g)
 
 
 def test_gamma_bytes_match_ordered_pair_oracle():

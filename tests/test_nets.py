@@ -36,7 +36,7 @@ from lorentzmet import (
     validate,
 )
 import lorentzmet.nets as nets_module
-from lorentzmet.causet import _float_image
+from lorentzmet.causet import _signed_image
 from lorentzmet.nets import (
     EpsilonNet,
     TotallyBoundedParams,
@@ -150,6 +150,11 @@ def test_totally_bounded_params_validation():
         TotallyBoundedParams(1.0, (0.5, -0.1), (1, 1))
     with pytest.raises(ValueError):
         TotallyBoundedParams(-1.0, (0.5,), (1,))
+    # NaN compares False: a NaN bound would pass every diameter check
+    with pytest.raises(ValueError, match="diameter"):
+        TotallyBoundedParams(float("nan"), (0.5,), (1,))
+    with pytest.raises(ValueError, match="alpha"):
+        TotallyBoundedParams(1.0, (float("nan"),), (1,))
 
 
 def test_totally_bounded_family_report():
@@ -257,7 +262,7 @@ def test_exact_kernels_match_oracles():
     rng = np.random.default_rng(37)
     for _ in range(100):
         d = random_fraction_matrix(rng, int(rng.integers(2, 9)))
-        assert _min_gamma(d, *_float_image(d)) == oracle_min_gamma(d)
+        assert _min_gamma(d, *_signed_image(d)[:2]) == oracle_min_gamma(d)
     for _ in range(30):
         pos = random_valid_matrix(rng, int(rng.integers(1, 15))).d > 0
         assert (_link_counts(pos) == oracle_link_counts(pos)).all()
@@ -269,12 +274,12 @@ def test_min_gamma_when_float_order_differs():
     # puts gamma(2, 3) at 1.0 (entries near 2**51 round to halves)
     d[0, 4] = Fraction(11, 10)
     d[2, 5], d[3, 5] = 2**51 + Fraction(6, 5), Fraction(2**51)
-    assert _min_gamma(d, *_float_image(d)) == Fraction(11, 10)
+    assert _min_gamma(d, *_signed_image(d)[:2]) == Fraction(11, 10)
     # gamma(0, 1) = 10**309 lies only in entries past the float range
     d = np.full((6, 6), Fraction(0), dtype=object)
     d[0, 4], d[1, 4] = Fraction(10**309), Fraction(2 * 10**309)
     d[2, 5] = d[3, 4] = Fraction(1)
-    assert _min_gamma(d, *_float_image(d)) == oracle_min_gamma(d) == 1
+    assert _min_gamma(d, *_signed_image(d)[:2]) == oracle_min_gamma(d) == 1
 
 
 def test_rationalize_memory_is_quadratic():
