@@ -231,10 +231,8 @@ def longest_chain(c: Causet, x: int, y: int) -> Chain:
     The returned sum never exceeds d(x, y) by the reverse triangle
     inequality.
     """
+    x, y = _points(c.n, (x, y))
     d = c.as_float()
-    n = c.n
-    if not (0 <= x < n and 0 <= y < n):
-        raise ValueError("endpoint index out of range")
     if d[x, y] <= 0:
         raise ValueError(f"points {x} and {y} are not chronologically related")
 

@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -279,8 +279,9 @@ def _ordering(n: int, ordering: Sequence[int] | None) -> list[int]:
 
 
 def _points(n: int, points: Iterable[int]) -> list[int]:
-    """points as ints, each checked to index one of n points."""
-    pts = [int(p) for p in points]
+    """points as ints, each checked to index one of n points; a non-integer
+    index is a TypeError."""
+    pts = [operator.index(p) for p in points]
     for p in pts:
         if not 0 <= p < n:  # a negative index would wrap silently
             raise ValueError(f"point index {p} out of range")
@@ -317,11 +318,6 @@ def _sup_gaps(m: np.ndarray) -> np.ndarray:
             out[x, x + 1:] = out[x + 1:, x] = np.fmax.reduce(
                 gap, axis=1, initial=0.0)
     return out
-
-
-def _chebyshev_gaps(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise sup-norm gaps between rows and between columns of d."""
-    return _sup_gaps(d), _sup_gaps(np.ascontiguousarray(d.T))
 
 
 # coordinates in the filtering block of validate's distinguishing pass
@@ -596,7 +592,7 @@ def strip_boundary(c: Causet) -> Causet:
 
 def induced(c: Causet, indices: Sequence[int]) -> Causet:
     """Sub-causet on the given point indices (order preserved)."""
-    idx = list(indices)
+    idx = _points(c.n, indices)
     if len(set(idx)) != len(idx):
         raise ValueError("indices must be distinct")
     m = c.d[np.ix_(idx, idx)]
@@ -616,8 +612,9 @@ def distance_quotient(m: Causet | np.ndarray, tol: float = 0.0
     `validate(m, tol)` reports as distinguishing; a Fraction payload at
     tol = 0 is compared exactly, past the float range too.  A float
     payload, and a Fraction one at tol != 0, go through `as_float`: a
-    non-finite entry raises ValueError.
+    non-finite entry raises ValueError, and so does a NaN tol.
     """
+    _check_tol(tol)
     c = m if isinstance(m, Causet) else Causet.from_matrix(m)
     exact = c.is_rational and tol == 0
     parent = list(range(c.n))  # union-find; a class's root is its first point
@@ -640,8 +637,66 @@ def distance_quotient(m: Causet | np.ndarray, tol: float = 0.0
     return out, class_map.tolist()
 
 
-def _profile_keys(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.sort(d, axis=1), np.sort(d, axis=0).T
+def _profile_mismatch(da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """mismatch[x, y]: sorted-profile sup gap, a heuristic match cost.
+
+    Profiles are padded at the front with zeros to a common length k and
+    stored coordinate first, so the sup runs over the leading axis; the
+    gaps are taken a few rows x at a time, so memory stays
+    O(m n + (m + n) k).
+    """
+    m, n = len(da), len(db)
+    k = max(m, n)
+
+    def profiles(d):  # column x: the sorted row, then the sorted column
+        p = np.zeros((2, k, len(d)))
+        p[0, k - len(d):] = np.sort(d, axis=1).T
+        p[1, k - len(d):] = np.sort(d, axis=0)
+        return p.reshape(2 * k, len(d))
+
+    pa, pb = profiles(da), profiles(db)
+    out = np.empty((m, n))
+    # rows x per chunk: at most max(m n + (m + n) k, 2**15) + 2 n k gaps
+    step = max(1, max(m * n + (m + n) * k, 2**15) // max(1, 2 * n * k))
+    for s in range(0, m, step):
+        gap = pa[:, s:s + step, None] - pb[:, None]
+        np.abs(gap, out=gap)
+        gap.max(axis=0, out=out[s:s + step])
+    return out
+
+
+def _isometries(a: Causet, b: Causet, tol: float
+                ) -> Iterator[tuple[int, ...]]:
+    """The bijections of find_isometries, one at a time, in its order."""
+    n = a.n
+    if b.n != n:
+        return
+    da, db = a.as_float(), b.as_float()
+    # the sorted row and column multisets of x and of its image agree
+    # within tol
+    candidates = [np.flatnonzero(row).tolist()
+                  for row in _profile_mismatch(da, db) <= tol]
+    order = sorted(range(n), key=lambda x: len(candidates[x]))
+    mapping = [-1] * n
+    used = [False] * n
+
+    def backtrack(pos: int) -> Iterator[tuple[int, ...]]:
+        if pos == n:
+            yield tuple(mapping)
+            return
+        x = order[pos]
+        for y in candidates[x]:
+            if not used[y] and all(
+                    abs(da[x, xp] - db[y, mapping[xp]]) <= tol
+                    and abs(da[xp, x] - db[mapping[xp], y]) <= tol
+                    for xp in order[:pos]):
+                mapping[x] = y
+                used[y] = True
+                yield from backtrack(pos + 1)
+                used[y] = False
+                mapping[x] = -1
+
+    yield from backtrack(0)
 
 
 def find_isometries(a: Causet, b: Causet, tol: float = DEFAULT_TOL
@@ -652,42 +707,4 @@ def find_isometries(a: Causet, b: Causet, tol: float = DEFAULT_TOL
     row and column multisets, and points with the fewest candidates are
     assigned first.
     """
-    if a.n != b.n:
-        return []
-    n = a.n
-    da, db = a.as_float(), b.as_float()
-    rka, cka = _profile_keys(da)
-    rkb, ckb = _profile_keys(db)
-
-    candidates: list[list[int]] = []
-    for x in range(n):
-        cand = [y for y in range(n)
-                if np.abs(rka[x] - rkb[y]).max() <= tol
-                and np.abs(cka[x] - ckb[y]).max() <= tol]
-        if not cand:
-            return []
-        candidates.append(cand)
-
-    order = sorted(range(n), key=lambda x: len(candidates[x]))
-    mapping = [-1] * n
-    used = [False] * n
-    found: list[tuple[int, ...]] = []
-
-    def backtrack(pos: int) -> None:
-        if pos == n:
-            found.append(tuple(mapping))
-            return
-        x = order[pos]
-        for y in candidates[x]:
-            if not used[y] and all(
-                    abs(da[x, xp] - db[y, mapping[xp]]) <= tol
-                    and abs(da[xp, x] - db[mapping[xp], y]) <= tol
-                    for xp in order[:pos]):
-                mapping[x] = y
-                used[y] = True
-                backtrack(pos + 1)
-                used[y] = False
-                mapping[x] = -1
-
-    backtrack(0)
-    return found
+    return list(_isometries(a, b, tol))

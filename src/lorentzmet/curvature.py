@@ -41,7 +41,9 @@ __all__ = [
     "check_curvature_bound",
 ]
 
-_SIDES = ("xy", "yz", "xz")
+# each side's two ends, as positions in the vertex triple (x, y, z); the
+# side lengths a, b, c are d at these ends, in table order
+_SIDES = {"xy": (0, 1), "yz": (1, 2), "xz": (0, 2)}
 
 
 class SidePoint(NamedTuple):
@@ -104,34 +106,10 @@ def comparison_triangle_m0(a: float, b: float, c: float
     return ((0.0, 0.0), (t_star, x_star), (c, 0.0))
 
 
-def _lorentz_distance(p: tuple[float, float], q: tuple[float, float]) -> float:
-    dt = q[0] - p[0]
-    dx = q[1] - p[1]
-    if dt >= abs(dx):
-        return math.sqrt(dt * dt - dx * dx)
-    return 0.0
-
-
-def _place(side: str, t: float, xbar, ybar, zbar) -> tuple[float, float]:
-    if side == "xy":
-        o, e = xbar, ybar
-    elif side == "yz":
-        o, e = ybar, zbar
-    else:
-        o, e = xbar, zbar
-    return (o[0] + t * (e[0] - o[0]), o[1] + t * (e[1] - o[1]))
-
-
-_SIDE_ENDS = {"xy": ("x", "y"), "yz": ("y", "z"), "xz": ("x", "z")}
-
-
-def _vertex_of(sp: SidePoint) -> str | None:
-    lo, hi = _SIDE_ENDS[sp[0]]
-    if sp[1] == 0.0:
-        return lo
-    if sp[1] == 1.0:
-        return hi
-    return None
+def _place(model, sp: SidePoint) -> tuple[float, float]:
+    """The point at parameter sp.t along side sp.side of the model triangle."""
+    o, e = (model[i] for i in _SIDES[sp.side])
+    return (o[0] + sp.t * (e[0] - o[0]), o[1] + sp.t * (e[1] - o[1]))
 
 
 def comparison_distance_m0(a: float, b: float, c: float,
@@ -142,19 +120,19 @@ def comparison_distance_m0(a: float, b: float, c: float,
     linear interpolation; the result is 0 for non-causal placements.
     Parameters landing on shared vertices return side lengths exactly.
     """
-    SideParams(SidePoint(*d1), SidePoint(*d2))  # validates both
-    v1, v2 = _vertex_of(d1), _vertex_of(d2)
+    d1, d2 = SidePoint(*d1), SidePoint(*d2)
+    SideParams(d1, d2)  # validates both
+    v1, v2 = (_SIDES[sp.side][int(sp.t)] if sp.t in (0.0, 1.0) else None
+              for sp in (d1, d2))
     if v1 is not None and v2 is not None:
         if not realizable(a, b, c, 0.0):
             raise ValueError(
                 f"sides ({a}, {b}, {c}) are not realizable in the flat model")
-        if "xyz".index(v1) >= "xyz".index(v2):
-            return 0.0
-        return {("x", "y"): a, ("y", "z"): b, ("x", "z"): c}[(v1, v2)]
-    xbar, ybar, zbar = comparison_triangle_m0(a, b, c)
-    p = _place(d1[0], d1[1], xbar, ybar, zbar)
-    q = _place(d2[0], d2[1], xbar, ybar, zbar)
-    return _lorentz_distance(p, q)
+        return dict(zip(_SIDES.values(), (a, b, c))).get((v1, v2), 0.0)
+    model = comparison_triangle_m0(a, b, c)
+    (t1, x1), (t2, x2) = _place(model, d1), _place(model, d2)
+    dt, dx = t2 - t1, x2 - x1
+    return math.sqrt(dt * dt - dx * dx) if dt >= abs(dx) else 0.0
 
 
 @dataclass(frozen=True)
@@ -193,20 +171,20 @@ class CurvatureReport:
     stats: MappingProxyType = field(
         default_factory=lambda: MappingProxyType({}))
 
+    def _count(self, status: str) -> int:
+        return sum(ch.status == status for r in self.records for ch in r.checks)
+
     @property
     def n_violations(self) -> int:
-        return sum(1 for r in self.records for ch in r.checks
-                   if ch.status == "violation")
+        return self._count("violation")
 
     @property
     def n_vacuous(self) -> int:
-        return sum(1 for r in self.records for ch in r.checks
-                   if ch.status == "vacuous")
+        return self._count("vacuous")
 
     @property
     def n_ok(self) -> int:
-        return sum(1 for r in self.records for ch in r.checks
-                   if ch.status == "ok")
+        return self._count("ok")
 
     def to_json(self) -> dict:
         return {"k": self.k, "bound": self.bound, "tol": self.tol,
@@ -223,8 +201,8 @@ _DEFAULT_PARAMS = (
 )
 
 
-def _side_candidates(d: np.ndarray, tri: TimelikeTriangle, sp: SidePoint,
-                     tol: float) -> np.ndarray:
+def _side_candidates(d: np.ndarray, vertices: tuple[int, int, int],
+                     sp: SidePoint, tol: float) -> np.ndarray:
     """Host points lying on the requested side at the requested parameter.
 
     A point at parameter t on a side of length L satisfies d(o, p) = t L
@@ -234,12 +212,8 @@ def _side_candidates(d: np.ndarray, tri: TimelikeTriangle, sp: SidePoint,
     endpoint too keeps points from drifting off-side along null
     directions, which one-sided additivity slack would admit.
     """
-    if sp.side == "xy":
-        o, e, length = tri.x, tri.y, tri.a
-    elif sp.side == "yz":
-        o, e, length = tri.y, tri.z, tri.b
-    else:
-        o, e, length = tri.x, tri.z, tri.c
+    o, e = (vertices[i] for i in _SIDES[sp.side])
+    length = float(d[o, e])
     from_o = np.abs(d[o, :] / length - sp.t) <= tol
     from_e = np.abs(d[:, e] / length - (1.0 - sp.t)) <= tol
     return np.flatnonzero(from_o & from_e)
@@ -254,11 +228,6 @@ def _qualifying(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     a_min, b_min, gap_min = min_sides
     return ((a > 0) & (b > 0) & (a >= a_min) & (b >= b_min)
             & (c - a - b > gap_min) & (a + b < c))
-
-
-def _triangle(d: np.ndarray, x: int, y: int, z: int) -> TimelikeTriangle:
-    return TimelikeTriangle(x, y, z, float(d[x, y]), float(d[y, z]),
-                            float(d[x, z]))
 
 
 def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
@@ -300,7 +269,7 @@ def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
     d = host.as_float()
     n = host.n
 
-    triangles: list[TimelikeTriangle] = []
+    triangles: list[tuple[int, int, int]] = []
     exhaustive = max_triangles is None or n <= 64
     if exhaustive:
         attempts = n ** 3
@@ -308,7 +277,7 @@ def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
         for x in range(n):
             ok = _qualifying(d[x, :, None], d, d[x, None, :], min_sides)
             for y, z in zip(*np.nonzero(ok)):
-                triangles.append(_triangle(d, x, int(y), int(z)))
+                triangles.append((x, int(y), int(z)))
         if max_triangles is not None and len(triangles) > max_triangles:
             rng = np.random.default_rng(seed)
             keep = rng.choice(len(triangles), size=max_triangles, replace=False)
@@ -331,40 +300,38 @@ def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
                 if key in seen:
                     continue
                 seen.add(key)
-                triangles.append(_triangle(d, *key))
+                triangles.append(key)
                 if len(triangles) == max_triangles:
                     attempts -= m - 1 - int(row)  # draws past this one
                     break
 
+    # a lower bound asks for min d(p, q) <= model + tol, an upper one for
+    # max d(p, q) >= model - tol: the same test on -d, negation being exact
+    sign = 1.0 if bound == "lower" else -1.0
+    # each distinct side point once per triangle
+    points = dict.fromkeys(pt for sp in params for pt in (sp.d1, sp.d2))
     records = []
-    for tri in triangles:
+    for vertices in triangles:
+        sides = tuple(float(d[vertices[i], vertices[j]])
+                      for i, j in _SIDES.values())
+        cand = {pt: _side_candidates(d, vertices, pt, tol) for pt in points}
         checks = []
         for sp in params:
-            cand1 = _side_candidates(d, tri, sp.d1, tol)
-            cand2 = _side_candidates(d, tri, sp.d2, tol)
-            if len(cand1) == 0 or len(cand2) == 0:
+            c1, c2 = cand[sp.d1], cand[sp.d2]
+            if len(c1) == 0 or len(c2) == 0:
                 checks.append(CheckRecord(sp.d1, sp.d2, "vacuous"))
                 continue
-            model = comparison_distance_m0(tri.a, tri.b, tri.c, sp.d1, sp.d2)
-            vals = d[np.ix_(cand1, cand2)]
-            if bound == "lower":
-                best = float(vals.min())
-                hit = best <= model + tol
-            else:
-                best = float(vals.max())
-                hit = best >= model - tol
-            if hit:
+            model = comparison_distance_m0(*sides, sp.d1, sp.d2)
+            vals = sign * d[np.ix_(c1, c2)]
+            flat = int(np.argmin(vals))
+            if vals.flat[flat] <= sign * model + tol:
                 checks.append(CheckRecord(sp.d1, sp.d2, "ok"))
-            else:
-                flat = int(np.argmin(vals) if bound == "lower"
-                           else np.argmax(vals))
-                p = int(cand1[flat // len(cand2)])
-                q = int(cand2[flat % len(cand2)])
-                checks.append(CheckRecord(
-                    sp.d1, sp.d2, "violation",
-                    {"p": p, "q": q, "d": float(d[p, q]), "model": model}))
-        records.append(TriangleRecord((tri.x, tri.y, tri.z),
-                                      (tri.a, tri.b, tri.c), tuple(checks)))
+                continue
+            p, q = int(c1[flat // len(c2)]), int(c2[flat % len(c2)])
+            checks.append(CheckRecord(
+                sp.d1, sp.d2, "violation",
+                {"p": p, "q": q, "d": float(d[p, q]), "model": model}))
+        records.append(TriangleRecord(vertices, sides, tuple(checks)))
     stats = MappingProxyType({"attempts": attempts,
                               "requested": max_triangles,
                               "found": len(records),

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .causet import Causet, _chebyshev_gaps, _ordering, _points
+from .causet import Causet, _ordering, _points, _sup_gaps
 
 __all__ = [
     "GammaMatrix",
@@ -66,7 +66,8 @@ def gamma(c: Causet) -> GammaMatrix:
     Up to `causet.SUP_GAPS_NUMPY_MAX` points the gaps come from numpy,
     past it from scipy's pdist, imported on the first such call.
     """
-    return GammaMatrix(c.labels, np.maximum(*_chebyshev_gaps(c.as_float())))
+    f = c.as_float()
+    return GammaMatrix(c.labels, _sup_gaps(np.hstack([f, f.T])))
 
 
 def _gamma_of(c: Causet, g: GammaMatrix | None) -> GammaMatrix:
@@ -109,8 +110,7 @@ def kuratowski_embed(c: Causet, ordering: Sequence[int] | None = None
 def gamma_ball(c: Causet, center: int, r: float, closed: bool = True,
                g: GammaMatrix | None = None) -> tuple[int, ...]:
     """Indices within distinction distance r of the center point."""
-    if not 0 <= center < c.n:
-        raise ValueError(f"center index {center} out of range")
+    center, = _points(c.n, [center])
     if not r >= 0:  # NaN too
         raise ValueError(f"radius r must be nonnegative, got {r}")
     row = _gamma_of(c, g).g[center]

@@ -25,7 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .causet import Causet, find_isometries
+from .causet import Causet, _isometries, _profile_mismatch
 
 __all__ = [
     "Correspondence",
@@ -151,34 +151,6 @@ def gh_lower_bounds(a: Causet, b: Causet) -> float:
     two value sets bounds d_GH from below; so does the diameter gap.
     """
     return _lower_bound(_checked(a, "a"), _checked(b, "b"))
-
-
-def _profile_mismatch(da: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """mismatch[x, y]: sorted-profile sup gap, a heuristic match cost.
-
-    Profiles are padded at the front with zeros to a common length k and
-    stored coordinate first, so the sup runs over the leading axis; the
-    gaps are taken a few rows x at a time, so memory stays
-    O(m n + (m + n) k).
-    """
-    m, n = len(da), len(db)
-    k = max(m, n)
-
-    def profiles(d):  # column x: the sorted row, then the sorted column
-        p = np.zeros((2, k, len(d)))
-        p[0, k - len(d):] = np.sort(d, axis=1).T
-        p[1, k - len(d):] = np.sort(d, axis=0)
-        return p.reshape(2 * k, len(d))
-
-    pa, pb = profiles(da), profiles(db)
-    out = np.empty((m, n))
-    # rows x per chunk: at most max(m n + (m + n) k, 2**15) + 2 n k gaps
-    step = max(1, max(m * n + (m + n) * k, 2**15) // (2 * n * k))
-    for s in range(0, m, step):
-        gap = pa[:, s:s + step, None] - pb[:, None]
-        np.abs(gap, out=gap)
-        gap.max(axis=0, out=out[s:s + step])
-    return out
 
 
 def _dis(da, db, xs, ys):
@@ -511,4 +483,4 @@ def gh_zero_is_isometry(a: Causet, b: Causet, tol: float = 1e-9) -> bool:
         raise ValueError(
             "one causet has a boundary point and the other does not; "
             "apply adjoin_boundary before comparing")
-    return bool(find_isometries(a, b, tol=tol))
+    return next(_isometries(a, b, tol), None) is not None

@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .causet import (Causet, _chebyshev_gaps, _min_slack, _signed_image,
-                     diameter, distance_quotient, induced, validate)
+from .causet import (Causet, _min_slack, _signed_image, _sup_gaps, diameter,
+                     distance_quotient, induced, validate)
 from .distinction import GammaMatrix, _gamma_of, gamma
 
 __all__ = [
@@ -205,7 +205,7 @@ def _min_gamma(d: np.ndarray, f: np.ndarray, err: float):
     """
     i, j = np.triu_indices(d.shape[0], 1)
     if np.isfinite(f).all():
-        gf = np.maximum(*_chebyshev_gaps(f))[i, j]
+        gf = _sup_gaps(np.hstack([f, f.T]))[i, j]
         near = gf <= gf.min() + 2 * err
         i, j = i[near], j[near]
     return min(max(np.abs(d[a] - d[b]).max(), np.abs(d[:, a] - d[:, b]).max())

@@ -8,6 +8,7 @@ written in plain Python loops on purpose, so they share no code path
 with the vectorized library internals they are checked against.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from scipy.spatial.distance import cdist, pdist
 
 from lorentzmet import Causet, Violation, validate
 from lorentzmet.causet import TWIN_BLOCK
+from lorentzmet.curvature import (SideParams, SidePoint,
+                                  comparison_triangle_m0, realizable)
 
 
 def closure(d: np.ndarray) -> np.ndarray:
@@ -302,6 +305,92 @@ def oracle_triangles(host: Causet, min_sides=(0.0, 0.0, 0.0),
     return triangles
 
 
+def oracle_comparison_distance(a, b, c, d1, d2) -> float:
+    """comparison_distance_m0 with each side's ends spelled out per side."""
+    SideParams(SidePoint(*d1), SidePoint(*d2))  # validates both
+    ends = {"xy": ("x", "y"), "yz": ("y", "z"), "xz": ("x", "z")}
+
+    def vertex(sp):
+        lo, hi = ends[sp[0]]
+        return lo if sp[1] == 0.0 else hi if sp[1] == 1.0 else None
+
+    v1, v2 = vertex(d1), vertex(d2)
+    if v1 is not None and v2 is not None:
+        if not realizable(a, b, c, 0.0):
+            raise ValueError(
+                f"sides ({a}, {b}, {c}) are not realizable in the flat model")
+        if "xyz".index(v1) >= "xyz".index(v2):
+            return 0.0
+        return {("x", "y"): a, ("y", "z"): b, ("x", "z"): c}[(v1, v2)]
+    xbar, ybar, zbar = comparison_triangle_m0(a, b, c)
+
+    def place(side, t):
+        if side == "xy":
+            o, e = xbar, ybar
+        elif side == "yz":
+            o, e = ybar, zbar
+        else:
+            o, e = xbar, zbar
+        return (o[0] + t * (e[0] - o[0]), o[1] + t * (e[1] - o[1]))
+
+    p, q = place(d1[0], d1[1]), place(d2[0], d2[1])
+    dt, dx = q[0] - p[0], q[1] - p[1]
+    return math.sqrt(dt * dt - dx * dx) if dt >= abs(dx) else 0.0
+
+
+def oracle_curvature_checks(host: Causet, triangles, bound, tol,
+                            params) -> list:
+    """to_json() of each TriangleRecord for the given vertex triples.
+
+    Candidates come from a per-side if/elif, twice per side pair, and the
+    lower and upper bounds take min and max in separate branches.
+    """
+    d = host.as_float()
+
+    def candidates(tri, sp):
+        x, y, z = tri
+        if sp.side == "xy":
+            o, e = x, y
+        elif sp.side == "yz":
+            o, e = y, z
+        else:
+            o, e = x, z
+        length = float(d[o, e])
+        from_o = np.abs(d[o, :] / length - sp.t) <= tol
+        from_e = np.abs(d[:, e] / length - (1.0 - sp.t)) <= tol
+        return np.flatnonzero(from_o & from_e)
+
+    records = []
+    for x, y, z in triangles:
+        a, b, c = float(d[x, y]), float(d[y, z]), float(d[x, z])
+        checks = []
+        for sp in params:
+            cand1 = candidates((x, y, z), sp.d1)
+            cand2 = candidates((x, y, z), sp.d2)
+            check = {"d1": list(sp.d1), "d2": list(sp.d2)}
+            checks.append(check)
+            if len(cand1) == 0 or len(cand2) == 0:
+                check["status"] = "vacuous"
+                continue
+            model = oracle_comparison_distance(a, b, c, sp.d1, sp.d2)
+            vals = d[np.ix_(cand1, cand2)]
+            if bound == "lower":
+                hit = float(vals.min()) <= model + tol
+                flat = int(np.argmin(vals))
+            else:
+                hit = float(vals.max()) >= model - tol
+                flat = int(np.argmax(vals))
+            check["status"] = "ok" if hit else "violation"
+            if not hit:
+                p = int(cand1[flat // len(cand2)])
+                q = int(cand2[flat % len(cand2)])
+                check["witness"] = {"p": p, "q": q, "d": float(d[p, q]),
+                                    "model": model}
+        records.append({"vertices": [x, y, z], "sides": [a, b, c],
+                        "checks": checks})
+    return records
+
+
 # -- Gromov-Hausdorff oracle ---------------------------------------------
 
 _MASK_CACHE: dict = {}
@@ -326,6 +415,17 @@ def covering_masks(m: int, n: int) -> list:
             masks.append(mask)
     _MASK_CACHE[key] = masks
     return masks
+
+
+def oracle_isometries(a: Causet, b: Causet, tol) -> list:
+    """Every permutation p with |d_a(x, x') - d_b(p x, p x')| <= tol for
+    all x, x', by enumeration, in lexicographic order."""
+    da, db = a.as_float(), b.as_float()
+    if a.n != b.n:
+        return []
+    return [p for p in itertools.permutations(range(a.n))
+            if all(abs(da[x, xp] - db[p[x], p[xp]]) <= tol
+                   for x in range(a.n) for xp in range(a.n))]
 
 
 def oracle_gh(a: Causet, b: Causet) -> float:

@@ -276,6 +276,9 @@ def test_chain_length_and_maximality():
                 fn(ADDITIVE3, pts)
         with pytest.raises(ValueError, match="point index -3 out of range"):
             fn(ADDITIVE3, Chain((0, -3), True))
+        # a float index was truncated: [0, 1.7] read point 1
+        with pytest.raises(TypeError):
+            fn(ADDITIVE3, [0, 1.7])
 
 
 def test_coarsening_never_decreases_length(small_corpus):
@@ -301,6 +304,12 @@ def test_longest_chain_dp():
     assert chain_length(SLACK3, ch2) == 2.5  # direct step beats the detour
     with pytest.raises(ValueError):
         longest_chain(ADDITIVE3, 2, 0)
+    with pytest.raises(ValueError, match="point index -1 out of range"):
+        longest_chain(ADDITIVE3, 0, -1)
+    with pytest.raises(ValueError, match="point index 3 out of range"):
+        longest_chain(ADDITIVE3, 3, 2)
+    with pytest.raises(TypeError):
+        longest_chain(ADDITIVE3, 0, 2.0)
 
 
 def test_longest_chain_is_chain_and_bounded(small_corpus):

@@ -561,6 +561,10 @@ def test_quotient_merges_signed_zeros_and_refuses_nan():
     for tol in (0.0, 0.5):
         with pytest.raises(ValueError, match=r"entry \(0, 2\)"):
             distance_quotient(d, tol)
+    # a NaN tol merged nothing, where tol = 0 merges all three zero points
+    assert distance_quotient(np.zeros((3, 3)))[1] == [0, 0, 0]
+    with pytest.raises(ValueError, match="tol must not be NaN"):
+        distance_quotient(np.zeros((3, 3)), float("nan"))
 
 
 def test_induced_preserves_order():
@@ -570,6 +574,14 @@ def test_induced_preserves_order():
     assert sub.d[1, 0] == 2.0
     with pytest.raises(ValueError):
         induced(c, [0, 0])
+    assert induced(c, np.array([2, 1])).labels == ("p2", "p1")
+    # a negative index used to wrap to the last point, a large one to end
+    # in numpy's IndexError, and a float one is no index
+    for idx, bad in (([0, -1], -1), ([0, 5], 5)):
+        with pytest.raises(ValueError, match=rf"point index {bad} out of range"):
+            induced(c, idx)
+    with pytest.raises(TypeError):
+        induced(c, [0, 1.0])
 
 
 def test_find_isometries():

@@ -21,6 +21,7 @@ import pytest
 
 from lorentzmet import Causet
 from lorentzmet.curvature import (
+    _DEFAULT_PARAMS,
     SidePoint,
     SideParams,
     check_curvature_bound,
@@ -29,7 +30,8 @@ from lorentzmet.curvature import (
     realizable,
 )
 from lorentzmet.diamond import DiamondSpace, SampleSpec, sample_causet
-from helpers import first_non_finite, oracle_triangles
+from helpers import (first_non_finite, oracle_comparison_distance,
+                     oracle_curvature_checks, oracle_triangles)
 
 
 # x << p << y << q << z with d(p, q) too large for flat comparison
@@ -97,6 +99,30 @@ def test_comparison_distance_midpoints():
         comparison_distance_m0(1.0, 1.0, 3.0, SidePoint("xy", 1.5), mid_yz)
     with pytest.raises(ValueError, match="unknown side"):
         comparison_distance_m0(1.0, 1.0, 3.0, SidePoint("xw", 0.5), mid_yz)
+
+
+def test_comparison_distance_matches_oracle():
+    # values and error messages, vertex parameters and unrealizable or
+    # non-positive sides included
+    rng = np.random.default_rng(26)
+
+    def side_point():
+        side = str(rng.choice(["xy", "yz", "xz", "xy", "yz", "xz", "xw"]))
+        t = rng.choice([0.0, 1.0, 0.25, 0.5, 0.75, rng.random(), 1.5])
+        return SidePoint(side, float(t)) if rng.random() < 0.5 else (side, t)
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except ValueError as err:
+            return str(err)
+
+    for _ in range(3000):
+        a, b = rng.uniform(0.0, 2.0, size=2)
+        c = a + b + rng.uniform(-0.5, 1.0)
+        args = (float(a), float(b), float(c), side_point(), side_point())
+        assert repr(outcome(comparison_distance_m0, *args)) == \
+            repr(outcome(oracle_comparison_distance, *args))
 
 
 def test_check_input_validation():
@@ -281,6 +307,52 @@ def test_non_finite_hosts_emit_no_warnings():
         d[i, j] = rng.choice([np.inf, -np.inf, np.nan])
         with pytest.raises(ValueError, match=first_non_finite(d)):
             check_curvature_bound(Causet(host.labels, d), max_triangles=50)
+
+
+VERTEX_PARAMS = (
+    SideParams(SidePoint("xy", 0.0), SidePoint("xz", 1.0)),
+    SideParams(SidePoint("xy", 1.0), SidePoint("yz", 0.5)),
+    SideParams(SidePoint("xz", 0.0), SidePoint("yz", 1.0)),
+    SideParams(SidePoint("yz", 0.5), SidePoint("xy", 0.5)),
+    SideParams(SidePoint("xz", 0.5), SidePoint("xz", 0.5)),
+    SideParams(SidePoint("xy", 0.5), SidePoint("yz", 0.5)),
+)
+
+
+def test_checks_match_oracle_on_perturbed_hosts():
+    # every fifth host has its entries scaled by up to 10% either way, so
+    # both bounds see violations; the oracle re-checks the report's own
+    # triangles, whose choice test_triangles_match_per_draw_oracle covers
+    rng = np.random.default_rng(20)
+    seen = {"lower": set(), "upper": set()}
+    uncapped = 0
+    for h in range(15):
+        n = int(rng.integers(5, 141))
+        host = sample_causet(DiamondSpace(), SampleSpec(count=n, seed=h))
+        if h % 5 == 0:
+            d = host.d * rng.uniform(0.9, 1.1, size=host.d.shape)
+            host = Causet(host.labels, d)
+        for bound in ("lower", "upper"):
+            for tol in (0.05, 0.0, 0.2, -0.01, math.inf):
+                for params in (None, VERTEX_PARAMS):
+                    for cap in (20, None) if host.n <= 20 else (20,):
+                        uncapped += cap is None
+                        report = check_curvature_bound(
+                            host, bound=bound, tol=tol, side_params=params,
+                            max_triangles=cap, seed=h)
+                        want = oracle_curvature_checks(
+                            host, [r.vertices for r in report.records],
+                            bound, tol, params or _DEFAULT_PARAMS)
+                        assert report.to_json()["records"] == want
+                        status = [ch["status"] for r in want
+                                  for ch in r["checks"]]
+                        assert (report.n_ok, report.n_vacuous,
+                                report.n_violations) == (
+                            status.count("ok"), status.count("vacuous"),
+                            status.count("violation"))
+                        seen[bound].update(status)
+    assert seen["lower"] == seen["upper"] == {"ok", "vacuous", "violation"}
+    assert uncapped > 0
 
 
 def test_report_json_shape():

@@ -19,7 +19,7 @@ from lorentzmet.distinction import (
     kuratowski_distance,
     kuratowski_embed,
 )
-from lorentzmet.causet import SUP_GAPS_NUMPY_MAX, _chebyshev_gaps
+from lorentzmet.causet import SUP_GAPS_NUMPY_MAX, _sup_gaps
 from lorentzmet.diamond import DiamondSpace, SampleSpec, sample_causet
 from helpers import (first_non_finite, oracle_chebyshev_gaps, oracle_gamma,
                      oracle_noldus, random_valid_matrix, tame, wild_matrix)
@@ -94,8 +94,11 @@ def test_gamma_ball_closed_and_open():
     open_ = gamma_ball(c, 0, r, closed=False, g=g)
     assert 1 in closed and 1 not in open_
     assert 0 in closed and 0 in open_
-    with pytest.raises(ValueError):
-        gamma_ball(c, 5, 1.0)
+    for center in (5, -1):
+        with pytest.raises(ValueError, match=f"point index {center} out"):
+            gamma_ball(c, center, 1.0)
+    with pytest.raises(TypeError):  # it ended in numpy's IndexError
+        gamma_ball(c, 1.5, r)
     with pytest.raises(ValueError):
         gamma_ball(c, 0, -1.0)
     # every comparison with NaN is False, which made the ball empty
@@ -122,7 +125,8 @@ def test_hausdorff_gamma():
 
 
 def test_gamma_bytes_match_ordered_pair_oracle():
-    # one pdist per side against cdist over ordered pairs plus the mirror;
+    # one gap call on each point's row and column side by side, against
+    # cdist per side over ordered pairs plus the mirror;
     # gamma refuses a NaN or +-inf entry, the gap kernel skips NaN gaps
     rng = np.random.default_rng(8)
     cases = [wild_matrix(rng, int(rng.integers(0, 30))) for _ in range(200)]
@@ -135,8 +139,8 @@ def test_gamma_bytes_match_ordered_pair_oracle():
         if len(d):
             assert gamma(Causet.from_matrix(tame(d))).g.tobytes() == \
                 oracle_gamma(tame(d)).tobytes()
-        got, want = _chebyshev_gaps(d), oracle_chebyshev_gaps(d)
-        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+        got = _sup_gaps(np.hstack([d, d.T]))
+        assert got.tobytes() == np.maximum(*oracle_chebyshev_gaps(d)).tobytes()
 
 
 def test_sup_gaps_bitwise_on_both_sides_of_the_numpy_cutoff():
@@ -151,8 +155,8 @@ def test_sup_gaps_bitwise_on_both_sides_of_the_numpy_cutoff():
     cases += [np.where(rng.random((n, n)) < 0.5, 1e308, -1e308)
               for n in (cut, cut + 1)]
     for d in cases:
-        got, want = _chebyshev_gaps(d), oracle_chebyshev_gaps(d)
-        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+        got = _sup_gaps(np.hstack([d, d.T]))
+        assert got.tobytes() == np.maximum(*oracle_chebyshev_gaps(d)).tobytes()
 
 
 def test_balls_and_hausdorff_refuse_a_distinction_matrix_of_another_causet():

@@ -8,6 +8,7 @@ Core claims:
     - any correspondence with distortion delta distorts gamma by <= 3 delta
 """
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from lorentzmet import (
     diameter,
     distance_quotient,
     distortion,
+    find_isometries,
     gamma,
     gh_exact,
     gh_lower_bounds,
@@ -35,7 +37,8 @@ from lorentzmet import (
 from lorentzmet.gh import (_pair_table, _profile_mismatch, _root_bound,
                            epsilon_isometry_from, map_distortion)
 from helpers import (covering_masks, oracle_gh, oracle_gh_exact, oracle_greedy,
-                     oracle_lower_bound, oracle_pairs_distortion,
+                     oracle_isometries, oracle_lower_bound,
+                     oracle_pairs_distortion,
                      oracle_profile_mismatch, oracle_profile_mismatch_cdist,
                      random_valid_matrix)
 
@@ -231,6 +234,37 @@ def test_gh_zero_is_isometry():
     b = Causet.from_matrix(a.as_float()[np.ix_(perm, perm)])
     assert gh_zero_is_isometry(a, b)
     assert not gh_zero_is_isometry(CHAIN_1, CHAIN_125)
+    # ten disjoint 2-chains have 10! isometries; listing them all took
+    # seconds from eight chains on, the answer needs only the first
+    d = np.zeros((20, 20))
+    d[range(0, 20, 2), range(1, 20, 2)] = 1.0
+    chains = Causet.from_matrix(d)
+    start = time.perf_counter()
+    assert gh_zero_is_isometry(chains, chains)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_isometries_match_permutation_oracle():
+    # permuted copies with one entry nudged, nonzero diagonals included;
+    # a NaN tol admits nothing, two empty causets have the empty bijection
+    rng = np.random.default_rng(23)
+    for case in range(1200):
+        n = int(rng.integers(0, 7))
+        d = rng.choice([0.0, 0.5, 1.0], size=(n, n)) * (rng.random((n, n)) < 0.5)
+        perm = rng.permutation(n)
+        e = d[np.ix_(perm, perm)]
+        if n and rng.random() < 0.5:
+            e[rng.integers(n), rng.integers(n)] += rng.choice([1e-10, 0.2, 0.5])
+        tol = (1e-9, 0.0, 0.3, float("nan"))[case % 4]
+        a, b = Causet.from_matrix(d), Causet.from_matrix(e)
+        got = find_isometries(a, b, tol)
+        assert sorted(got) == oracle_isometries(a, b, tol)
+        assert len(set(got)) == len(got)
+        if (a.boundary is None) == (b.boundary is None):
+            assert gh_zero_is_isometry(a, b, tol) == bool(got)
+    empty = Causet.from_matrix(np.zeros((0, 0)))
+    assert find_isometries(empty, empty) == [()]
+    assert find_isometries(empty, CHAIN_1) == []
 
 
 def test_gh_zero_mixed_boundary_is_an_error():
