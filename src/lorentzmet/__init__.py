@@ -20,28 +20,26 @@ EXPERIMENT_KINDS = ("convergence", "gamma-scaling", "curvature", "limit")
 _PUBLIC = {
     "causal": ("CausalRelation", "Chain", "TimeFunction", "causal_relation",
                "chain_length", "is_chain", "is_maximal", "longest_chain",
-               "time_function", "time_function_normalized"),
-    "causet": ("Causet", "ValidationReport", "Violation", "adjoin_boundary",
-               "chronological_relation", "diameter", "distance_quotient",
-               "dump_causet", "find_isometries", "induced", "load_causet",
-               "reverse_triangle_slack", "strip_boundary", "validate"),
+               "time_function"),
+    "causet": ("BoundaryError", "Causet", "ValidationReport", "Violation",
+               "adjoin_boundary", "chronological_relation", "diameter",
+               "distance_quotient", "dump_causet", "find_isometries",
+               "induced", "load_causet", "reverse_triangle_slack",
+               "strip_boundary", "validate"),
     "curvature": ("CheckRecord", "CurvatureReport", "SideParams", "SidePoint",
-                  "TimelikeTriangle", "TriangleRecord",
-                  "check_curvature_bound", "comparison_distance_m0",
-                  "comparison_triangle_m0", "realizable"),
+                  "TriangleRecord", "check_curvature_bound",
+                  "comparison_distance_m0", "comparison_triangle_m0",
+                  "realizable"),
     "diamond": ("DiamondSpace", "SampleSpec", "causet_from_points",
                 "diamond_distance", "diamond_gamma", "gamma_scaling_exponent",
                 "sample_causet"),
-    "distinction": ("GammaMatrix", "KuratowskiVector", "gamma", "gamma_ball",
-                    "hausdorff_gamma", "kuratowski_distance",
-                    "kuratowski_embed"),
-    "gh": ("Correspondence", "GHResult", "compose", "distortion",
-           "epsilon_isometry_from", "gh_exact", "gh_lower_bounds",
-           "gh_upper_greedy", "gh_zero_is_isometry", "map_distortion"),
+    "distinction": ("GammaMatrix", "gamma", "gamma_ball", "hausdorff_gamma"),
+    "gh": ("Correspondence", "GHResult", "distortion", "gh_exact",
+           "gh_lower_bounds", "gh_upper_greedy", "gh_zero_is_isometry"),
     "nets": ("EpsilonNet", "FamilyReport", "MemberCheck",
              "TotallyBoundedParams", "check_uniformly_totally_bounded",
              "extract_net", "limit_causet", "net_correspondence",
-             "net_to_causet", "rationalize", "simplest_rational_between"),
+             "net_to_causet", "rationalize"),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items()
               for name in names}

@@ -26,7 +26,6 @@ __all__ = [
     "Chain",
     "causal_relation",
     "time_function",
-    "time_function_normalized",
     "is_chain",
     "chain_length",
     "is_maximal",
@@ -101,31 +100,8 @@ class TimeFunction:
     beta: float
     ordering: tuple[int, ...]
 
-    def value(self, x: int) -> float:
-        return self.values[x]
-
     def as_dict(self, labels: Sequence[str]) -> dict[str, float]:
         return {labels[i]: float(self.values[i]) for i in range(len(self.values))}
-
-
-def _tau_base(c: Causet, ordering: Sequence[int] | None):
-    n, ordering = c.n, _ordering(c.n, ordering)
-    s = np.array(ordering, dtype=int)
-    if not c.is_rational:
-        w = 0.5 ** np.arange(1, n + 1)
-        d = c.as_float()
-        # sum_n w_n d(s_n, x) - sum_n w_n d(x, s_n), halved
-        return (w @ d[s, :] - d[:, s] @ w) / 2, w, tuple(ordering)
-    # exact weights; a nonzero entry d(i, j) adds W_i d(i, j) to point j and
-    # subtracts W_j d(i, j) from point i, with W_{s_n} = w_n / 2
-    w = np.array([Fraction(1, 2 ** k) for k in range(1, n + 1)], dtype=object)
-    half = (w / 2)[np.argsort(s)]
-    i, j = np.nonzero(c._image[2])
-    v = c.d[i, j]
-    base = np.full(n, Fraction(0), dtype=object)
-    np.add.at(base, j, half[i] * v)
-    np.subtract.at(base, i, half[j] * v)
-    return base, w, tuple(ordering)
 
 
 def time_function(c: Causet, ordering: Sequence[int] | None = None,
@@ -139,22 +115,25 @@ def time_function(c: Causet, ordering: Sequence[int] | None = None,
     """
     if not alpha > 0:  # NaN too
         raise ValueError(f"alpha must be positive, got {alpha}")
-    base, w, ordering = _tau_base(c, ordering)
+    n, ordering = c.n, tuple(_ordering(c.n, ordering))
+    s = np.array(ordering, dtype=int)
+    if not c.is_rational:
+        w = 0.5 ** np.arange(1, n + 1)
+        d = c.as_float()
+        # sum_n w_n d(s_n, x) - sum_n w_n d(x, s_n), halved
+        base = (w @ d[s, :] - d[:, s] @ w) / 2
+    else:
+        # exact weights; a nonzero entry d(i, j) adds W_i d(i, j) to point
+        # j and subtracts W_j d(i, j) from point i, with W_{s_n} = w_n / 2
+        w = np.array([Fraction(1, 2 ** k) for k in range(1, n + 1)],
+                     dtype=object)
+        half = (w / 2)[np.argsort(s)]
+        i, j = np.nonzero(c._image[2])
+        v = c.d[i, j]
+        base = np.full(n, Fraction(0), dtype=object)
+        np.add.at(base, j, half[i] * v)
+        np.subtract.at(base, i, half[j] * v)
     return TimeFunction(alpha * base + beta, w, alpha, beta, ordering)
-
-
-def time_function_normalized(c: Causet, x: int, y: int,
-                             ordering: Sequence[int] | None = None
-                             ) -> TimeFunction:
-    """Rescale so tau(x) = 0 and tau(y) = 1 for a pair with x strictly below y."""
-    base, w, ordering = _tau_base(c, ordering)
-    gap = base[y] - base[x]
-    if gap <= 0:
-        raise ValueError(
-            f"points {x} and {y} are not strictly ordered (tau gap {gap})")
-    # (base - base[x]) / gap hits 0 and 1 exactly at the anchor points
-    return TimeFunction((base - base[x]) / gap, w,
-                        1 / gap, -base[x] / gap, ordering)
 
 
 @dataclass(frozen=True)

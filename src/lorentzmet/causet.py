@@ -97,12 +97,15 @@ class Causet:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
         if self.boundary is not None:
+            if isinstance(self.boundary, bool):
+                raise TypeError("boundary must be a point index, not a bool")
             b = operator.index(self.boundary)  # TypeError for 1.5
             if not 0 <= b < m.shape[0]:
                 raise ValueError(f"boundary index {b} out of range")
             if (m[b] != 0).any() or (m[:, b] != 0).any():
                 raise BoundaryError(
                     f"boundary point {b} has a nonzero row or column")
+            object.__setattr__(self, "boundary", b)
         m.flags.writeable = False
         object.__setattr__(self, "d", m)
 
@@ -186,6 +189,9 @@ class Causet:
         labels = obj.get("labels")
         if labels is None:
             labels = [f"p{i}" for i in range(n)]
+        if not (isinstance(labels, list)
+                and all(isinstance(s, str) for s in labels)):
+            raise ValueError("field 'labels' must be a list of strings")
         if len(labels) != n:
             raise ValueError(f"field 'labels' has length {len(labels)}, expected {n}")
         boundary = obj.get("boundary")

@@ -31,7 +31,6 @@ from .causet import Causet, _check_tol
 __all__ = [
     "SidePoint",
     "SideParams",
-    "TimelikeTriangle",
     "CheckRecord",
     "TriangleRecord",
     "CurvatureReport",
@@ -66,18 +65,6 @@ class SideParams:
                 raise ValueError(f"unknown side '{sp.side}'")
             if not 0.0 <= sp.t <= 1.0:
                 raise ValueError(f"side parameter {sp.t} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class TimelikeTriangle:
-    """Vertex indices x << y << z with their three side lengths."""
-
-    x: int
-    y: int
-    z: int
-    a: float  # d(x, y)
-    b: float  # d(y, z)
-    c: float  # d(x, z)
 
 
 def realizable(a: float, b: float, c: float, k: float) -> bool:

@@ -1,4 +1,4 @@
-"""The distinction metric gamma and the sup-norm function-space embedding.
+"""The distinction metric gamma.
 
 gamma(x, y) = max( sup_z |d(x,z) - d(y,z)|, sup_z |d(z,x) - d(z,y)| )
 
@@ -6,26 +6,20 @@ is a genuine metric on a distinguishing space and coincides with the
 Noldus strong metric
 
 D(x, y) = sup_z |d(z,x) + d(x,z) - d(z,y) - d(y,z)|.
-
-Mapping each point to its pair of distance profiles (row, column) is an
-isometry onto a subset of a sup-normed function space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .causet import Causet, _ordering, _points, _sup_gaps
+from .causet import Causet, _points, _sup_gaps
 
 __all__ = [
     "GammaMatrix",
-    "KuratowskiVector",
     "gamma",
-    "kuratowski_embed",
-    "kuratowski_distance",
     "gamma_ball",
     "hausdorff_gamma",
 ]
@@ -60,6 +54,11 @@ class GammaMatrix:
 def gamma(c: Causet) -> GammaMatrix:
     """Distinction metric of every pair, by direct sup enumeration.
 
+    gamma is the sup-norm distance between the rows of np.hstack([d, d.T]),
+    each point's pair of distance profiles (d(x, .), d(., x)): mapping x
+    to its row is the Kuratowski embedding, an isometry of (X, gamma) onto
+    a subset of a sup-normed function space.
+
     Each unordered pair is visited once, over every row and column
     coordinate, and mirrored, so g is exactly symmetric with a zero
     diagonal; the bytes are those of the full ordered-pair comparison.
@@ -79,32 +78,6 @@ def _gamma_of(c: Causet, g: GammaMatrix | None) -> GammaMatrix:
                          f"another causet: its labels are not those of the "
                          f"{c.n}-point causet")
     return g
-
-
-@dataclass(frozen=True, eq=False)
-class KuratowskiVector:
-    """Distance profiles of one point over a reference ordering."""
-
-    point: int
-    out_profile: np.ndarray  # d(point, s) for s in the ordering
-    in_profile: np.ndarray   # d(s, point) for s in the ordering
-
-
-def kuratowski_distance(u: KuratowskiVector, v: KuratowskiVector) -> float:
-    """Sup-norm distance between two embedded points."""
-    return float(max(np.abs(u.out_profile - v.out_profile).max(),
-                     np.abs(u.in_profile - v.in_profile).max()))
-
-
-def kuratowski_embed(c: Causet, ordering: Sequence[int] | None = None
-                     ) -> list[KuratowskiVector]:
-    """Embed every point by its distance profiles along a point ordering.
-
-    The sup-norm distance between images equals gamma on the source.
-    """
-    d, s = c.as_float(), np.array(_ordering(c.n, ordering), dtype=int)
-    return [KuratowskiVector(x, d[x, s].copy(), d[s, x].copy())
-            for x in range(c.n)]
 
 
 def gamma_ball(c: Causet, center: int, r: float, closed: bool = True,

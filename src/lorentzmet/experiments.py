@@ -42,6 +42,8 @@ class ExperimentConfig:
             raise ValueError("size ladder must be nonempty")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError("size ladder must be strictly increasing")
+        if self.sizes[0] < 1:  # the least size, as the ladder increases
+            raise ValueError(f"sizes must be positive, got {self.sizes[0]}")
         if not self.eps > 0:  # NaN fails too
             raise ValueError("eps must be positive")
         if not self.tol > 0:

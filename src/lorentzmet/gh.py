@@ -31,12 +31,9 @@ __all__ = [
     "Correspondence",
     "GHResult",
     "distortion",
-    "compose",
     "gh_exact",
     "gh_upper_greedy",
     "gh_lower_bounds",
-    "epsilon_isometry_from",
-    "map_distortion",
     "gh_zero_is_isometry",
 ]
 
@@ -78,24 +75,6 @@ def distortion(r: Correspondence, a: Causet, b: Causet) -> float:
         raise ValueError("correspondence shape does not match the causets")
     xs, ys = np.array(r.pairs, dtype=int).reshape(-1, 2).T
     return float(_dis(a.as_float(), b.as_float(), xs, ys))
-
-
-def compose(r1: Correspondence, r2: Correspondence) -> Correspondence:
-    """Relational composition: apply r1 (X to Y) then r2 (Y to Z).
-
-    The distortion of the result is at most dis r1 + dis r2.
-    """
-    if r1.n != r2.m:
-        raise ValueError(
-            f"inner sizes differ: r1 is {r1.m}x{r1.n}, r2 is {r2.m}x{r2.n}")
-    by_y: dict[int, list[int]] = {}
-    for x, y in r1.pairs:
-        by_y.setdefault(y, []).append(x)
-    out = set()
-    for y, z in r2.pairs:
-        for x in by_y.get(y, ()):
-            out.add((x, z))
-    return Correspondence(r1.m, r2.n, tuple(out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +272,8 @@ def gh_upper_greedy(a: Causet, b: Causet, restarts: int = 32,
 
     Deterministic for a fixed seed.  The first pass matches points by
     sorted-profile similarity; later restarts shuffle construction order.
-    Local search runs only for m + n <= TABLE_MAX_POINTS.
+    Local search runs only for m + n <= TABLE_MAX_POINTS.  When m n >
+    10000, `restarts` is silently capped at 2.
     """
     da, db = _checked(a, "a"), _checked(b, "b")
     m, n = len(da), len(db)
@@ -451,24 +431,6 @@ def gh_exact(a: Causet, b: Causet, max_exact_size: int = 6,
                     upper=upper, exact=upper if certified else None,
                     witness=witness, method="exact" if certified
                     else "branch-bound", stats=stats)
-
-
-def epsilon_isometry_from(r: Correspondence, a: Causet, b: Causet
-                          ) -> list[int]:
-    """Pick f(x) as the smallest y related to x; dis f <= dis R."""
-    if r.m != a.n or r.n != b.n:
-        raise ValueError("correspondence shape does not match the causets")
-    f = [-1] * r.m
-    for x, y in r.pairs:
-        if f[x] == -1 or y < f[x]:
-            f[x] = y
-    return f
-
-
-def map_distortion(f: list[int], a: Causet, b: Causet) -> float:
-    """Distortion of a plain map X -> Y over all ordered point pairs."""
-    return float(_dis(a.as_float(), b.as_float(), np.arange(a.n),
-                      np.asarray(f, dtype=int)))
 
 
 def gh_zero_is_isometry(a: Causet, b: Causet, tol: float = 1e-9) -> bool:

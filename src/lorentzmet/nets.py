@@ -28,13 +28,13 @@ from .distinction import GammaMatrix, _gamma_of, gamma
 __all__ = [
     "EpsilonNet",
     "TotallyBoundedParams",
+    "MemberCheck",
     "FamilyReport",
     "extract_net",
     "net_correspondence",
     "net_to_causet",
     "check_uniformly_totally_bounded",
     "rationalize",
-    "simplest_rational_between",
     "limit_causet",
 ]
 
@@ -186,17 +186,6 @@ def _simplest_between(a: int, b: int, c: int, e: int) -> Fraction:
     for fl in reversed(quotients):
         p, q = fl * p + q, p
     return Fraction(p, q)
-
-
-def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """A small-denominator rational strictly inside the open interval.
-
-    Stern-Brocot style descent on the continued fraction of the endpoints.
-    """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    return _simplest_between(lo.numerator, lo.denominator,
-                             hi.numerator, hi.denominator)
 
 
 def _min_gamma(d: np.ndarray, f: np.ndarray, err: float):

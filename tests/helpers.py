@@ -994,6 +994,9 @@ def oracle_from_json(obj) -> Causet:
     labels = obj.get("labels")
     if labels is None:
         labels = [f"p{i}" for i in range(n)]
+    if not (isinstance(labels, list)
+            and all(isinstance(s, str) for s in labels)):
+        raise ValueError("field 'labels' must be a list of strings")
     if len(labels) != n:
         raise ValueError(f"field 'labels' has length {len(labels)}, "
                          f"expected {n}")

@@ -13,7 +13,6 @@ from lorentzmet import (
     is_maximal,
     longest_chain,
     time_function,
-    time_function_normalized,
 )
 from lorentzmet.causal import Chain
 from lorentzmet.diamond import (DiamondSpace, SampleSpec, causet_from_points,
@@ -219,16 +218,6 @@ def test_time_function_any_ordering_is_monotone():
         for x, y in np.argwhere(j):
             if x != y:
                 assert tau[x] < tau[y]
-
-
-def test_time_function_normalized():
-    tau = time_function_normalized(ADDITIVE3, 0, 2)
-    assert tau.values[0] == 0.0
-    assert tau.values[2] == 1.0
-    assert 0.0 < tau.values[1] < 1.0
-    with pytest.raises(ValueError):
-        time_function_normalized(ADDITIVE3, 2, 0)
-    assert tau.as_dict(ADDITIVE3.labels)["p0"] == 0.0
 
 
 # -- chains ------------------------------------------------------------------

@@ -644,6 +644,22 @@ def test_from_json_errors_name_the_field():
         Causet.from_json({"n": 2, "d": [[0.0], [0.0, 0.0]]})
     with pytest.raises(ValueError, match="'labels'"):
         Causet.from_json({"n": 1, "d": [[0.0]], "labels": ["a", "b"]})
+    for labels in ("ab", ["a", 1], {"a": 0, "b": 1}):
+        with pytest.raises(ValueError, match="'labels' must be a list"):
+            Causet.from_json({"n": 2, "d": [[0, 1], [0, 0]],
+                              "labels": labels})
+
+
+def test_boundary_is_stored_as_an_int_index():
+    zeros = np.zeros((2, 2))
+    for flag in (True, False):
+        with pytest.raises(TypeError, match="not a bool"):
+            Causet(("a", "b"), zeros, boundary=flag)
+        with pytest.raises(TypeError, match="not a bool"):
+            Causet.from_json({"n": 2, "d": zeros.tolist(), "boundary": flag})
+    c = Causet(("a", "b"), zeros, boundary=np.int64(1))
+    assert type(c.boundary) is int and c.boundary == 1
+    assert json.loads(json.dumps(c.to_json()))["boundary"] == 1
 
 
 # -- JSON round trip -------------------------------------------------------

@@ -352,6 +352,8 @@ FUZZ_PAYLOADS = {
     "one-number-pair": '{"n": 1, "rational": true, "d": [[[1]]]}',
     "zero-denominator": '{"n": 1, "rational": true, "d": [[[0, 0]]]}',
     "fractional-boundary": '{"n": 2, "d": [[0, 0], [0, 0]], "boundary": 1.5}',
+    "bool-boundary": '{"n": 2, "d": [[0, 1], [0, 0]], "boundary": true}',
+    "string-labels": '{"n": 2, "d": [[0, 1], [0, 0]], "labels": "ab"}',
     "nan": '{"n": 2, "d": [[0, NaN], [0, 0]]}',
     "inf": '{"n": 2, "d": [[0, Infinity], [0, 0]]}',
     "-inf": '{"n": 2, "d": [[0, -Infinity], [1, 0]]}',
@@ -361,12 +363,16 @@ FUZZ_PAYLOADS = {
     "one-point": '{"n": 1, "d": [[0]]}',
     "boundary-alone": '{"n": 1, "d": [[0]], "boundary": 0}',
 }
+# malformed files: every subcommand refuses them as a usage error
+MALFORMED = {"not-json", "not-an-object", "missing-d", "short-row",
+             "one-number-pair", "zero-denominator", "fractional-boundary",
+             "bool-boundary", "string-labels"}
 
 
 @pytest.mark.parametrize("payload", sorted(FUZZ_PAYLOADS))
 def test_fuzz_every_causet_reading_subcommand(tmp_path, capsys, payload):
     # exit 0 with strict JSON on stdout, or exit 1 or 2 with an error
-    # line; main itself never raises
+    # line (2 on a malformed file); main itself never raises
     path = tmp_path / "c.json"
     path.write_text(FUZZ_PAYLOADS[payload])
     p = str(path)
@@ -376,7 +382,7 @@ def test_fuzz_every_causet_reading_subcommand(tmp_path, capsys, payload):
                  ["limit", p, p]):
         code = main(argv)
         out, err = capsys.readouterr()
-        assert code in (0, 1, 2), argv
+        assert code in ((2,) if payload in MALFORMED else (0, 1, 2)), argv
         if code:
             assert err.startswith("error:"), (argv, err)
         else:
@@ -476,6 +482,13 @@ def test_experiment_bad_sizes(capsys):
     assert main(["experiment", "limit", "--sizes", "5,x"]) == 2
     assert "bad experiment config" in capsys.readouterr().err
     assert main(["experiment", "limit", "--sizes", "5,5"]) == 2
+    capsys.readouterr()
+    # a size below 1 is refused by the config, not by the sampler (exit 1)
+    for sizes in ("0,5", "-3,5"):
+        assert main(["experiment", "convergence", f"--sizes={sizes}"]) == 2
+        assert "sizes must be positive" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="sizes must be positive"):
+        ExperimentConfig(kind="limit", sizes=(0, 5))
 
 
 def test_experiment_unknown_kind_exits_2():

