@@ -17,6 +17,8 @@ __version__ = "0.1.0"
 # line can list them without loading the experiment runners
 EXPERIMENT_KINDS = ("convergence", "gamma-scaling", "curvature", "limit")
 
+# the one list of public names, by submodule; each submodule's __all__ is
+# its entry
 _PUBLIC = {
     "causal": ("CausalRelation", "Chain", "TimeFunction", "causal_relation",
                "chain_length", "is_chain", "is_maximal", "longest_chain",

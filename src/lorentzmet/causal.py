@@ -18,19 +18,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from . import _PUBLIC
 from .causet import Causet, _check_tol, _ordering, _points
 
-__all__ = [
-    "CausalRelation",
-    "TimeFunction",
-    "Chain",
-    "causal_relation",
-    "time_function",
-    "is_chain",
-    "chain_length",
-    "is_maximal",
-    "longest_chain",
-]
+__all__ = list(_PUBLIC["causal"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,32 +80,28 @@ def causal_relation(c: Causet, tol: float = 0.0) -> CausalRelation:
 
 @dataclass(frozen=True, eq=False)
 class TimeFunction:
-    """tau(x) = alpha * (1/2) [sum_n w_n d(s_n, x) - sum_n w_n d(x, s_n)] + beta
+    """tau(x) = (1/2) [sum_n w_n d(s_n, x) - sum_n w_n d(x, s_n)]
 
     with weights w_n = 2^-n over a point ordering (s_1, s_2, ...).
     """
 
     values: np.ndarray
     weights: np.ndarray
-    alpha: float
-    beta: float
     ordering: tuple[int, ...]
 
     def as_dict(self, labels: Sequence[str]) -> dict[str, float]:
         return {labels[i]: float(self.values[i]) for i in range(len(self.values))}
 
 
-def time_function(c: Causet, ordering: Sequence[int] | None = None,
-                  alpha=1, beta=0) -> TimeFunction:
+def time_function(c: Causet, ordering: Sequence[int] | None = None
+                  ) -> TimeFunction:
     """Time function from geometrically weighted distance profiles.
 
-    Strictly increasing along strict J and, at alpha = 1, 1-Lipschitz with
-    respect to the distinction metric.  A Fraction payload is exact, with
-    Fraction arithmetic once per nonzero entry of the causet's sign pattern
-    (signs read from the float image, exact only where an entry underflows).
+    Strictly increasing along strict J and 1-Lipschitz with respect to the
+    distinction metric.  A Fraction payload is exact, with Fraction
+    arithmetic once per nonzero entry of the causet's sign pattern (signs
+    read from the float image, exact only where an entry underflows).
     """
-    if not alpha > 0:  # NaN too
-        raise ValueError(f"alpha must be positive, got {alpha}")
     n, ordering = c.n, tuple(_ordering(c.n, ordering))
     s = np.array(ordering, dtype=int)
     if not c.is_rational:
@@ -133,7 +120,7 @@ def time_function(c: Causet, ordering: Sequence[int] | None = None,
         base = np.full(n, Fraction(0), dtype=object)
         np.add.at(base, j, half[i] * v)
         np.subtract.at(base, i, half[j] * v)
-    return TimeFunction(alpha * base + beta, w, alpha, beta, ordering)
+    return TimeFunction(base, w, ordering)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ float64 arrays or, for exact arithmetic, as object arrays of
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -25,23 +26,9 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = [
-    "BoundaryError",
-    "Causet",
-    "ValidationReport",
-    "Violation",
-    "validate",
-    "reverse_triangle_slack",
-    "chronological_relation",
-    "diameter",
-    "adjoin_boundary",
-    "strip_boundary",
-    "distance_quotient",
-    "find_isometries",
-    "induced",
-    "load_causet",
-    "dump_causet",
-]
+from . import _PUBLIC
+
+__all__ = list(_PUBLIC["causet"])
 
 DEFAULT_TOL = 1e-9
 
@@ -65,6 +52,11 @@ def _detect_boundary(d: np.ndarray) -> int | None:
     zero = d == 0
     idx = np.flatnonzero(zero.all(axis=1) & zero.all(axis=0))
     return int(idx[0]) if len(idx) == 1 else None
+
+
+def _is_number(t: type) -> bool:
+    """Whether t is the type of a JSON number: int or float, not bool."""
+    return t is not bool and issubclass(t, (int, float))
 
 
 class BoundaryError(ValueError):
@@ -185,6 +177,14 @@ class Causet:
                           for row in rows for p in row],
                          dtype=object).reshape(n, n)
         else:
+            # numbers only: numpy would read "1e3" as 1000.0 and null as NaN
+            kinds = set(map(type, itertools.chain.from_iterable(rows)))
+            if not all(map(_is_number, kinds)):
+                i, j, v = next((i, j, v) for i, row in enumerate(rows)
+                               for j, v in enumerate(row)
+                               if not _is_number(type(v)))
+                raise ValueError(f"field 'd' entry ({i}, {j}) is not a "
+                                 f"number: {v!r}")
             m = np.asarray(rows, dtype=float).reshape(n, n)
         labels = obj.get("labels")
         if labels is None:

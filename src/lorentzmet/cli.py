@@ -20,31 +20,22 @@ import os
 import sys
 
 from . import EXPERIMENT_KINDS
-from .causet import BoundaryError, Causet, validate
+from .causet import BoundaryError, Causet, load_causet, validate
 
 
 class UsageError(Exception):
     pass
 
 
-def _read_json(path: str) -> dict:
+def _read_causet(path: str) -> Causet:
     try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
+        return load_causet(sys.stdin if path == "-" else path)
+    except BoundaryError:
+        raise  # well-formed, but the space has no such boundary: exit 1
     except json.JSONDecodeError as e:
         raise UsageError(f"malformed JSON in '{path}': {e}") from e
     except OSError as e:
         raise UsageError(f"cannot read '{path}': {e}") from e
-
-
-def _read_causet(path: str) -> Causet:
-    obj = _read_json(path)
-    try:
-        return Causet.from_json(obj)
-    except BoundaryError:
-        raise  # well-formed, but the space has no such boundary: exit 1
     except (KeyError, ValueError, TypeError) as e:
         raise UsageError(f"bad causet in '{path}': {e}") from e
 
@@ -93,10 +84,8 @@ def cmd_gamma(args) -> None:
 def cmd_tau(args) -> None:
     from .causal import time_function
     c = _read_causet(args.causet)
-    tf = time_function(c)
     _emit_json({"kind": "time-function",
-                "alpha": float(tf.alpha), "beta": float(tf.beta),
-                "values": tf.as_dict(c.labels)}, args.out)
+                "values": time_function(c).as_dict(c.labels)}, args.out)
 
 
 def cmd_gh(args) -> None:

@@ -26,19 +26,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _PUBLIC
 from .causet import Causet, _check_tol
 
-__all__ = [
-    "SidePoint",
-    "SideParams",
-    "CheckRecord",
-    "TriangleRecord",
-    "CurvatureReport",
-    "realizable",
-    "comparison_triangle_m0",
-    "comparison_distance_m0",
-    "check_curvature_bound",
-]
+__all__ = list(_PUBLIC["curvature"])
 
 # each side's two ends, as positions in the vertex triple (x, y, z); the
 # side lengths a, b, c are d at these ends, in table order

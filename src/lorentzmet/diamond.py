@@ -25,17 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _PUBLIC
 from .causet import Causet, distance_quotient, adjoin_boundary
 
-__all__ = [
-    "DiamondSpace",
-    "SampleSpec",
-    "diamond_distance",
-    "diamond_gamma",
-    "causet_from_points",
-    "sample_causet",
-    "gamma_scaling_exponent",
-]
+__all__ = list(_PUBLIC["diamond"])
 
 Point = tuple[float, float]
 
@@ -108,13 +101,8 @@ def causet_from_points(pts: Sequence[Sequence[float]],
 
 @dataclass(frozen=True)
 class DiamondSpace:
-    """The unit diamond; methods delegate to the module-level formulas."""
-
-    def distance(self, p: Sequence[float], q: Sequence[float]) -> float:
-        return diamond_distance(p, q)
-
-    def gamma(self, p: Sequence[float], q: Sequence[float]) -> float:
-        return diamond_gamma(p, q)
+    """The unit diamond, the space `sample_causet` draws from; its formulas
+    are `diamond_distance` and `diamond_gamma`."""
 
 
 @dataclass(frozen=True)

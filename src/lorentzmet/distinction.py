@@ -15,14 +15,10 @@ from typing import Iterable
 
 import numpy as np
 
+from . import _PUBLIC
 from .causet import Causet, _points, _sup_gaps
 
-__all__ = [
-    "GammaMatrix",
-    "gamma",
-    "gamma_ball",
-    "hausdorff_gamma",
-]
+__all__ = list(_PUBLIC["distinction"])
 
 
 @dataclass(frozen=True, eq=False)

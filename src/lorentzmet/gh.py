@@ -25,17 +25,10 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import _PUBLIC
 from .causet import Causet, _isometries, _profile_mismatch
 
-__all__ = [
-    "Correspondence",
-    "GHResult",
-    "distortion",
-    "gh_exact",
-    "gh_upper_greedy",
-    "gh_lower_bounds",
-    "gh_zero_is_isometry",
-]
+__all__ = list(_PUBLIC["gh"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,14 +49,6 @@ class Correspondence:
                 raise ValueError(f"pair ({x}, {y}) out of range")
         if xs != set(range(self.m)) or ys != set(range(self.n)):
             raise ValueError("relation does not cover both factors")
-
-    @classmethod
-    def identity(cls, n: int) -> "Correspondence":
-        return cls(n, n, tuple((i, i) for i in range(n)))
-
-    def transpose(self) -> "Correspondence":
-        return Correspondence(self.n, self.m,
-                              tuple((y, x) for x, y in self.pairs))
 
     def to_json(self) -> list[list[int]]:
         return [[x, y] for x, y in self.pairs]

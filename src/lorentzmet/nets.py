@@ -21,22 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _PUBLIC
 from .causet import (Causet, _min_slack, _signed_image, _sup_gaps, diameter,
                      distance_quotient, induced, validate)
 from .distinction import GammaMatrix, _gamma_of, gamma
 
-__all__ = [
-    "EpsilonNet",
-    "TotallyBoundedParams",
-    "MemberCheck",
-    "FamilyReport",
-    "extract_net",
-    "net_correspondence",
-    "net_to_causet",
-    "check_uniformly_totally_bounded",
-    "rationalize",
-    "limit_causet",
-]
+__all__ = list(_PUBLIC["nets"])
 
 
 @dataclass(frozen=True, eq=False)

@@ -990,6 +990,11 @@ def oracle_from_json(obj) -> Causet:
         m = np.array([Fraction(p[0], p[1]) for row in rows for p in row],
                      dtype=object).reshape(n, n)
     else:
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise ValueError(f"field 'd' entry ({i}, {j}) is not a "
+                                     f"number: {v!r}")
         m = np.asarray(rows, dtype=float).reshape(n, n)
     labels = obj.get("labels")
     if labels is None:

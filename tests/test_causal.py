@@ -126,7 +126,8 @@ def test_time_function_two_chain_values():
     tau = time_function(CHAIN2)
     assert tau.values[0] == -0.125
     assert tau.values[1] == 0.25
-    assert tau.alpha == 1 and tau.beta == 0
+    with pytest.raises(ValueError, match="permutation"):
+        time_function(CHAIN2, ordering=[0, 0])
 
 
 def test_time_function_exact_on_rational_payload():
@@ -186,18 +187,6 @@ def _check_exact_tau(c, ordering):
     assert got.shape == (c.n,)
     assert all(type(v) is Fraction for v in got)
     assert list(got) == list(oracle_tau_base(c, ordering))
-
-
-def test_time_function_affine_controls():
-    tau = time_function(CHAIN2, alpha=2, beta=1)
-    assert tau.values[0] == 0.75 and tau.values[1] == 1.5
-    with pytest.raises(ValueError):
-        time_function(CHAIN2, alpha=0)
-    with pytest.raises(ValueError):
-        time_function(CHAIN2, ordering=[0, 0])
-    # NaN <= 0 is False, so a plain sign test let it through to NaN values
-    with pytest.raises(ValueError, match="alpha must be positive, got nan"):
-        time_function(CHAIN2, alpha=float("nan"))
 
 
 def test_time_function_is_one_lipschitz(small_corpus):

@@ -96,6 +96,13 @@ def test_bad_causet_payload_is_usage_error(tmp_path, capsys):
     assert "bad causet" in capsys.readouterr().err
 
 
+def test_undecodable_file_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "bytes.json"
+    p.write_bytes(b"\xff\xfe")  # not UTF-8: "bad causet", else bad JSON
+    assert main(["validate", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_false_boundary_is_domain_error(tmp_path, capsys):
     p = tmp_path / "b.json"
     p.write_text(json.dumps({"n": 2, "d": [[0, 1], [0, 0]], "boundary": 0}))
@@ -148,9 +155,8 @@ def test_gamma_output(tmp_path, capsys):
 def test_tau_values(tmp_path, capsys):
     path = write_causet(tmp_path, CHAIN, "c.json")
     blob = run_json(capsys, ["tau", path])
-    assert blob["kind"] == "time-function"
-    assert blob["alpha"] == 1.0 and blob["beta"] == 0.0
-    assert blob["values"] == {"p0": -0.125, "p1": 0.25}
+    assert blob == {"kind": "time-function",
+                    "values": {"p0": -0.125, "p1": 0.25}}
 
 
 def test_tau_on_an_empty_causet(tmp_path, capsys):
@@ -349,6 +355,8 @@ FUZZ_PAYLOADS = {
     "missing-d": '{"n": 1}',
     "short-row": '{"n": 2, "d": [[0, 1], [0]]}',
     "text-entry": '{"n": 1, "d": [["0"]]}',
+    "bool-entry": '{"n": 2, "d": [[0, 1], [false, 0]]}',
+    "null-entry": '{"n": 2, "d": [[0, 1], [0, null]]}',
     "one-number-pair": '{"n": 1, "rational": true, "d": [[[1]]]}',
     "zero-denominator": '{"n": 1, "rational": true, "d": [[[0, 0]]]}',
     "fractional-boundary": '{"n": 2, "d": [[0, 0], [0, 0]], "boundary": 1.5}',
@@ -365,8 +373,9 @@ FUZZ_PAYLOADS = {
 }
 # malformed files: every subcommand refuses them as a usage error
 MALFORMED = {"not-json", "not-an-object", "missing-d", "short-row",
-             "one-number-pair", "zero-denominator", "fractional-boundary",
-             "bool-boundary", "string-labels"}
+             "text-entry", "bool-entry", "null-entry", "one-number-pair",
+             "zero-denominator", "fractional-boundary", "bool-boundary",
+             "string-labels"}
 
 
 @pytest.mark.parametrize("payload", sorted(FUZZ_PAYLOADS))
@@ -467,6 +476,13 @@ def test_experiment_convergence_headers(capsys):
     assert lines[0] == "n,gh_upper,net_size_at_eps,runtime_ms"
     assert len(lines) == 3
     assert lines[2].split(",")[1] == ""  # no refinement above the top size
+
+
+def test_experiment_convergence_from_one_point(capsys):
+    # one diamond point quotients to an empty causet, whose net is empty
+    assert main(["experiment", "convergence", "--sizes", "1,5"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert rows[0].split(",")[2] == "0"
 
 
 def test_experiment_out_file(tmp_path, capsys):

@@ -165,11 +165,3 @@ def test_sample_prefixes_nest_in_count():
     front = induced(big, range(40))
     assert np.array_equal(front.d, small.d)
     assert front.labels == small.labels
-
-
-def test_diamond_space_delegates():
-    sp = DiamondSpace()
-    assert sp.distance((0.1, 0.1), (0.6, 0.9)) == \
-        diamond_distance((0.1, 0.1), (0.6, 0.9))
-    assert sp.gamma((0.1, 0.1), (0.6, 0.9)) == \
-        diamond_gamma((0.1, 0.1), (0.6, 0.9))

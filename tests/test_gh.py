@@ -59,7 +59,6 @@ def test_correspondence_validation():
         Correspondence(2, 2, ((0, 0),))  # misses a point on each side
     with pytest.raises(ValueError):
         Correspondence(2, 2, ((0, 0), (1, 5)))
-    assert Correspondence.identity(3).pairs == ((0, 0), (1, 1), (2, 2))
 
 
 def test_distortion_and_transpose():
@@ -67,7 +66,8 @@ def test_distortion_and_transpose():
     assert distortion(full, CHAIN_1, CHAIN_125) == 1.25
     tight = Correspondence(2, 2, ((0, 0), (1, 1)))
     assert distortion(tight, CHAIN_1, CHAIN_125) == 0.25
-    assert distortion(tight.transpose(), CHAIN_125, CHAIN_1) == 0.25
+    transposed = Correspondence(2, 2, tuple((y, x) for x, y in tight.pairs))
+    assert distortion(transposed, CHAIN_125, CHAIN_1) == 0.25
     with pytest.raises(ValueError):
         distortion(tight, CHAIN_1, Causet.from_matrix(np.zeros((3, 3))))
 
@@ -85,7 +85,7 @@ def test_adding_pairs_never_decreases_distortion():
 def test_gh_exact_identical_and_chain_pair():
     same = gh_exact(CHAIN_1, CHAIN_1)
     assert same.exact == 0.0 and same.method == "exact"
-    assert set(Correspondence.identity(2).pairs) <= set(same.witness.pairs)
+    assert {(0, 0), (1, 1)} <= set(same.witness.pairs)
 
     r = gh_exact(CHAIN_1, CHAIN_125)
     assert r.exact == 0.25

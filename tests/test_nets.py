@@ -209,7 +209,7 @@ def test_rationalize_random_causets():
         c = random_valid_matrix(rng, int(rng.integers(2, 8)))
         out = rationalize(c, eps=1e-3)
         assert validate(out).valid
-        ident = Correspondence.identity(c.n)
+        ident = Correspondence(c.n, c.n, tuple(zip(range(c.n), range(c.n))))
         assert distortion(ident, c, out) <= 1e-3
 
 
@@ -412,7 +412,8 @@ def test_limit_of_shrinking_cloud():
     assert np.abs(out.as_float() - target.as_float()).max() <= 1e-9
     # a correspondence between the tail and the limit has small distortion
     tail = member(12)
-    ident = Correspondence.identity(out.n)
+    ident = Correspondence(out.n, out.n,
+                           tuple(zip(range(out.n), range(out.n))))
     assert distortion(ident, tail, out) <= 0.05
 
 
