@@ -73,21 +73,43 @@ def realizable(a: float, b: float, c: float, k: float) -> bool:
     return True
 
 
+def _model(a, b, c) -> tuple[tuple, tuple, tuple]:
+    """Flat-model vertices (xbar, ybar, zbar) of realizable side lengths:
+    floats, or arrays holding one triangle per entry."""
+    t_star = (c * c + a * a - b * b) / (2 * c)
+    # x*^2 = (t* - a)(t* + a) > 0, but rounding can leave it just below 0
+    x_star = np.sqrt(np.maximum(t_star * t_star - a * a, 0.0))
+    return ((0.0, 0.0), (t_star, x_star), (c, 0.0))
+
+
 def comparison_triangle_m0(a: float, b: float, c: float
                            ) -> tuple[tuple[float, float], ...]:
     """Flat-model vertices (xbar, ybar, zbar) in (t, x) coordinates."""
     if not realizable(a, b, c, 0.0):
         raise ValueError(
             f"sides ({a}, {b}, {c}) are not realizable in the flat model")
-    t_star = (c * c + a * a - b * b) / (2 * c)
-    x_star = math.sqrt(t_star * t_star - a * a)
-    return ((0.0, 0.0), (t_star, x_star), (c, 0.0))
+    xbar, (t_star, x_star), zbar = _model(a, b, c)
+    return (xbar, (t_star, float(x_star)), zbar)
 
 
 def _place(model, sp: SidePoint) -> tuple[float, float]:
     """The point at parameter sp.t along side sp.side of the model triangle."""
     o, e = (model[i] for i in _SIDES[sp.side])
     return (o[0] + sp.t * (e[0] - o[0]), o[1] + sp.t * (e[1] - o[1]))
+
+
+def _model_distance(a, b, c, d1: SidePoint, d2: SidePoint):
+    """comparison_distance_m0 without its checks, on realizable side
+    lengths: floats, or arrays holding one triangle per entry (a vertex
+    pair off every side then gives the scalar 0.0)."""
+    v1, v2 = (_SIDES[sp.side][int(sp.t)] if sp.t in (0.0, 1.0) else None
+              for sp in (d1, d2))
+    if v1 is not None and v2 is not None:
+        return dict(zip(_SIDES.values(), (a, b, c))).get((v1, v2), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic
+        (t1, x1), (t2, x2) = (_place(_model(a, b, c), sp) for sp in (d1, d2))
+        dt, dx = t2 - t1, x2 - x1
+        return np.where(dt >= abs(dx), np.sqrt(dt * dt - dx * dx), 0.0)
 
 
 def comparison_distance_m0(a: float, b: float, c: float,
@@ -100,17 +122,11 @@ def comparison_distance_m0(a: float, b: float, c: float,
     """
     d1, d2 = SidePoint(*d1), SidePoint(*d2)
     SideParams(d1, d2)  # validates both
-    v1, v2 = (_SIDES[sp.side][int(sp.t)] if sp.t in (0.0, 1.0) else None
-              for sp in (d1, d2))
-    if v1 is not None and v2 is not None:
-        if not realizable(a, b, c, 0.0):
-            raise ValueError(
-                f"sides ({a}, {b}, {c}) are not realizable in the flat model")
-        return dict(zip(_SIDES.values(), (a, b, c))).get((v1, v2), 0.0)
-    model = comparison_triangle_m0(a, b, c)
-    (t1, x1), (t2, x2) = _place(model, d1), _place(model, d2)
-    dt, dx = t2 - t1, x2 - x1
-    return math.sqrt(dt * dt - dx * dx) if dt >= abs(dx) else 0.0
+    if not realizable(a, b, c, 0.0):
+        raise ValueError(
+            f"sides ({a}, {b}, {c}) are not realizable in the flat model")
+    out = _model_distance(a, b, c, d1, d2)
+    return out.item() if isinstance(out, np.ndarray) else out
 
 
 @dataclass(frozen=True)
@@ -179,9 +195,10 @@ _DEFAULT_PARAMS = (
 )
 
 
-def _side_candidates(d: np.ndarray, vertices: tuple[int, int, int],
-                     sp: SidePoint, tol: float) -> np.ndarray:
-    """Host points lying on the requested side at the requested parameter.
+def _on_side(d: np.ndarray, tri: np.ndarray, sp: SidePoint,
+             tol: float) -> np.ndarray:
+    """Mask of the host points on the requested side at the requested
+    parameter, one row per vertex triple in tri.
 
     A point at parameter t on a side of length L satisfies d(o, p) = t L
     and d(p, e) = (1 - t) L, and that pair of equalities pins p to the
@@ -190,14 +207,61 @@ def _side_candidates(d: np.ndarray, vertices: tuple[int, int, int],
     endpoint too keeps points from drifting off-side along null
     directions, which one-sided additivity slack would admit.
     """
-    o, e = (vertices[i] for i in _SIDES[sp.side])
-    length = float(d[o, e])
-    from_o = np.abs(d[o, :] / length - sp.t) <= tol
-    from_e = np.abs(d[:, e] / length - (1.0 - sp.t)) <= tol
-    return np.flatnonzero(from_o & from_e)
+    o, e = (tri[:, i] for i in _SIDES[sp.side])
+    length = d[o, e][:, None]
+    from_o = np.abs(d[o] / length - sp.t) <= tol
+    from_e = np.abs(d[:, e].T / length - (1.0 - sp.t)) <= tol
+    return from_o & from_e
+
+
+def _pair_minima(d: np.ndarray, sign: float, m1: np.ndarray, m2: np.ndarray,
+                 limit: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row r of the candidate masks m1, m2: the least sign * d[p, q]
+    over p in m1[r], q in m2[r] (+inf when either is empty), and, where it
+    is not <= limit[r], the flat index p * n + q of the first pair reaching
+    it in row-major order: the pair np.argmin picks on the block
+    sign * d[np.ix_(c1, c2)].
+
+    Pairs are expanded for whole (r, p) entries, at most cap of them at a
+    time when cap >= n, so memory stays O(cap) whatever the masks hold; a
+    row split over two chunks keeps the earlier of two equal minima.
+    """
+    n = d.shape[0]
+    n2 = np.count_nonzero(m2, axis=1)
+    q_of = np.nonzero(m2)[1]  # the q lists of all rows, one after another
+    q_start = np.cumsum(n2) - n2
+    entry = np.flatnonzero(m1 & (n2 > 0)[:, None])  # r * n + p per entry
+    end = np.cumsum(n2[entry // n])  # pairs up to each entry's last
+    best = np.full(len(m1), np.inf)
+    arg = np.zeros(len(m1), dtype=np.intp)
+    k = lo = 0
+    while k < len(entry):
+        stop = max(k + 1, int(np.searchsorted(end, lo + cap, "right")))
+        r, p = np.divmod(entry[k:stop], n)
+        c = n2[r]
+        # pair j (counted over the chunk's entries) reads
+        # q_of[j - (its entry's first pair) + (its row's first q)]
+        at = np.arange(lo, end[stop - 1])
+        at -= np.repeat(end[k:stop] - c - q_start[r], c)
+        flat = np.repeat(p * n, c)
+        flat += q_of[at]
+        vals = d.take(flat)
+        vals *= sign
+        first = np.concatenate(([0], np.flatnonzero(r[1:] != r[:-1]) + 1))
+        starts = (end[k:stop] - c)[first] - lo  # each row's first pair
+        mins = np.minimum.reduceat(vals, starts)
+        r, stops = r[first], np.append(starts[1:], len(vals))
+        new = mins < best[r]
+        best[r[new]] = mins[new]
+        for i in np.flatnonzero(new & ~(mins <= limit[r])).tolist():
+            seg = slice(starts[i], stops[i])
+            arg[r[i]] = flat[seg][np.argmin(vals[seg])]
+        k, lo = stop, end[stop - 1]
+    return best, arg
 
 
 _BATCH = 8192
+_STATUS = ("vacuous", "ok", "violation")  # check_curvature_bound's codes
 
 
 def _qualifying(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -286,30 +350,37 @@ def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
     # a lower bound asks for min d(p, q) <= model + tol, an upper one for
     # max d(p, q) >= model - tol: the same test on -d, negation being exact
     sign = 1.0 if bound == "lower" else -1.0
-    # each distinct side point once per triangle
     points = dict.fromkeys(pt for sp in params for pt in (sp.d1, sp.d2))
+    o, e = np.array(list(_SIDES.values())).T
+    # candidate pairs expanded at once: O(n^2) memory even when tol = inf
+    # makes every host point a candidate
+    cap = max(n * n // 4, 1 << 14)
     records = []
-    for vertices in triangles:
-        sides = tuple(float(d[vertices[i], vertices[j]])
-                      for i, j in _SIDES.values())
-        cand = {pt: _side_candidates(d, vertices, pt, tol) for pt in points}
+    for lo in range(0, len(triangles), max(n, 1)):  # n x n masks per block
+        tri = np.array(triangles[lo:lo + n], dtype=np.intp)
+        sides = d[tri[:, o], tri[:, e]]  # a, b, c per row
+        mask = {pt: _on_side(d, tri, pt, tol) for pt in points}
         checks = []
         for sp in params:
-            c1, c2 = cand[sp.d1], cand[sp.d2]
-            if len(c1) == 0 or len(c2) == 0:
-                checks.append(CheckRecord(sp.d1, sp.d2, "vacuous"))
-                continue
-            model = comparison_distance_m0(*sides, sp.d1, sp.d2)
-            vals = sign * d[np.ix_(c1, c2)]
-            flat = int(np.argmin(vals))
-            if vals.flat[flat] <= sign * model + tol:
-                checks.append(CheckRecord(sp.d1, sp.d2, "ok"))
-                continue
-            p, q = int(c1[flat // len(c2)]), int(c2[flat % len(c2)])
-            checks.append(CheckRecord(
-                sp.d1, sp.d2, "violation",
-                {"p": p, "q": q, "d": float(d[p, q]), "model": model}))
-        records.append(TriangleRecord(vertices, sides, tuple(checks)))
+            model = np.broadcast_to(
+                _model_distance(*sides.T, sp.d1, sp.d2), len(tri))
+            with np.errstate(invalid="ignore"):
+                limit = sign * model + tol
+            best, arg = _pair_minima(d, sign, mask[sp.d1], mask[sp.d2],
+                                     limit, cap)
+            # host entries are finite: only a check without candidates
+            # keeps best = +inf
+            status = np.where(best == np.inf, 0,
+                              np.where(best <= limit, 1, 2))
+            checks.append(zip(*(col.tolist() for col in (
+                status, *np.divmod(arg, n), d.take(arg), model))))
+        for vertices, sd, *row in zip(triangles[lo:lo + n], sides.tolist(),
+                                      *checks):
+            records.append(TriangleRecord(vertices, tuple(sd), tuple(
+                CheckRecord(sp.d1, sp.d2, "violation",
+                            {"p": p, "q": q, "d": dv, "model": mv})
+                if st == 2 else CheckRecord(sp.d1, sp.d2, _STATUS[st])
+                for sp, (st, p, q, dv, mv) in zip(params, row))))
     stats = MappingProxyType({"attempts": attempts,
                               "requested": max_triangles,
                               "found": len(records),

@@ -606,6 +606,19 @@ def oracle_validate_exact(d: np.ndarray) -> list:
     return out
 
 
+def oracle_cone_slacks(f: np.ndarray, pos: np.ndarray):
+    """causet._cone_slacks with each j's past and future found on its own
+    column and row, and each block gathered with np.ix_."""
+    for j in range(len(f)):
+        ii, kk = np.flatnonzero(pos[:, j]), np.flatnonzero(pos[j])
+        if len(ii) and len(kk):
+            s = f[np.ix_(ii, kk)]
+            with np.errstate(invalid="ignore", over="ignore"):
+                s -= f[ii, j][:, None]
+                s -= f[j, kk]
+            yield j, ii, kk, s
+
+
 def oracle_slack(d: np.ndarray):
     """min d(i,k) - d(i,j) - d(j,k) over d(i,j), d(j,k) > 0; None if none."""
     n = d.shape[0]
@@ -971,7 +984,8 @@ def oracle_limit_matrix(seq) -> np.ndarray:
 
 def oracle_from_json(obj) -> Causet:
     """Causet.from_json with one Fraction(p[0], p[1]) per rational entry,
-    every check made before any entry is converted."""
+    every check made before any entry is converted; a rational pair must
+    hold two ints, JSON booleans not counted."""
     for key in ("n", "d"):
         if key not in obj:
             raise KeyError(f"causet JSON is missing field '{key}'")
@@ -987,6 +1001,11 @@ def oracle_from_json(obj) -> Causet:
                    for row in rows for p in row):
             raise ValueError("rational entries must be [numerator, "
                              "nonzero denominator] pairs")
+        for i, row in enumerate(rows):
+            for j, p in enumerate(row):
+                if type(p[0]) is not int or type(p[1]) is not int:
+                    raise ValueError(f"field 'd' entry ({i}, {j}) is not a "
+                                     f"pair of integers: {p!r}")
         m = np.array([Fraction(p[0], p[1]) for row in rows for p in row],
                      dtype=object).reshape(n, n)
     else:

@@ -24,10 +24,11 @@ from lorentzmet import (
     validate,
 )
 from lorentzmet.causet import (DEFAULT_TOL, TWIN_BLOCK, BoundaryError,
-                               _sum_window, _twins)
-from lorentzmet.diamond import diamond_distance
-from helpers import (corrupt, make_corpus, nan_gaps, oracle_distinguishing,
-                     oracle_quotient_map, oracle_slack, oracle_twins,
+                               _cone_slacks, _sum_window, _twins)
+from lorentzmet.diamond import (DiamondSpace, SampleSpec, diamond_distance,
+                                sample_causet)
+from helpers import (corrupt, make_corpus, nan_gaps, oracle_cone_slacks,
+                     oracle_distinguishing, oracle_quotient_map, oracle_slack, oracle_twins,
                      oracle_validate_exact, oracle_violations,
                      random_fraction_matrix, random_valid_matrix,
                      underflow_payload, wild_matrix)
@@ -171,6 +172,61 @@ def test_validate_matches_full_comparison_on_nan_and_inf_payloads():
                               if v.kind != "distinguishing"}
                     assert others == {v for v in oracle_violations(d, tol)
                                       if v[0] != "distinguishing"}
+
+
+def _same_yields(got, want):
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for (j, ii, kk, s), (wj, wii, wkk, ws) in zip(got, want):
+        assert type(j) is int and j == wj
+        assert ii.tolist() == wii.tolist() and kk.tolist() == wkk.tolist()
+        # bitwise, NaN included
+        assert s.shape == ws.shape and s.tobytes() == ws.tobytes()
+
+
+def test_cone_slacks_match_per_j_oracle():
+    # the index lists sliced from one nonzero per side, and the flat
+    # gather, give the per-column, per-row, np.ix_ yields of the oracle
+    rng = np.random.default_rng(31)
+    mats = [np.zeros((n, n)) for n in range(4)]
+    # (f[0, 2] - f[0, 1]) - f[1, 2] overflows though every entry is finite
+    mats.append(np.array([[0.0, 1e308, -1e308], [0, 0, 1], [0, 0, 0]]))
+    mats += [sample_causet(DiamondSpace(), SampleSpec(count=n, seed=seed)).d
+             for n, seed in ((5, 1), (40, 2), (150, 3), (300, 4))]
+    specials = np.array([np.nan, np.inf, -np.inf, -1.0, 0.0, 1e308, -1e308])
+    for _ in range(60):
+        n = int(rng.integers(0, 25))
+        d = rng.uniform(-0.5, 2.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.6)
+        plant = rng.uniform(size=(n, n)) < 0.1
+        d[plant] = rng.choice(specials, size=int(plant.sum()))
+        mats.append(d)
+    for d in mats:
+        n = len(d)
+        masks = (d > 0, rng.uniform(size=(n, n)) < 0.3,
+                 np.zeros((n, n), dtype=bool))  # the last: empty cones
+        for pos in masks:
+            _same_yields(_cone_slacks(d, pos), oracle_cone_slacks(d, pos))
+
+
+def test_validate_reports_defects_only_a_non_finite_slack_witnesses():
+    # exact chains 0 -> 1 -> 2 with d(0, 2) < d(0, 1) + d(1, 2), beside a
+    # 10**400 link 3 -> 4, so the float image is +-inf past 2**1023: the
+    # one slack at j = 1 is +inf or inf - inf = NaN, and validate must
+    # not skip its block
+    huge = Fraction(10**400)
+    big = Fraction(3 * 2**1021)  # finite; twice it is past 2**1023
+    for (a, b, c), slack in (((big, big, Fraction(2**1023)), "inf"),
+                             ((huge, Fraction(5), huge + 1), "nan")):
+        d = np.full((5, 5), Fraction(0), dtype=object)
+        d[0, 1], d[1, 2], d[0, 2], d[3, 4] = a, b, c, huge
+        causet = Causet.from_matrix(d)
+        f, _, sign, _ = causet._image
+        blocks = {j: s.tolist() for j, _, _, s in _cone_slacks(f, sign > 0)}
+        assert repr(blocks[1]) == f"[[{slack}]]"
+        rep = validate(causet)
+        assert ("reverse-triangle", (0, 1, 2)) in {
+            (v.kind, v.witness) for v in rep.violations}
+        assert list(rep.violations) == oracle_validate_exact(d)
 
 
 def test_validate_nan_is_never_within_tol():

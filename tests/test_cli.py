@@ -359,6 +359,10 @@ FUZZ_PAYLOADS = {
     "null-entry": '{"n": 2, "d": [[0, 1], [0, null]]}',
     "one-number-pair": '{"n": 1, "rational": true, "d": [[[1]]]}',
     "zero-denominator": '{"n": 1, "rational": true, "d": [[[0, 0]]]}',
+    "rational-bool": '{"n": 2, "rational": true, '
+                     '"d": [[[0, 1], [1, true]], [[0, 1], [0, 1]]]}',
+    "rational-float": '{"n": 2, "rational": true, '
+                      '"d": [[[0, 1], [1.5, 2]], [[0, 1], [0, 1]]]}',
     "fractional-boundary": '{"n": 2, "d": [[0, 0], [0, 0]], "boundary": 1.5}',
     "bool-boundary": '{"n": 2, "d": [[0, 1], [0, 0]], "boundary": true}',
     "string-labels": '{"n": 2, "d": [[0, 1], [0, 0]], "labels": "ab"}',
@@ -374,8 +378,8 @@ FUZZ_PAYLOADS = {
 # malformed files: every subcommand refuses them as a usage error
 MALFORMED = {"not-json", "not-an-object", "missing-d", "short-row",
              "text-entry", "bool-entry", "null-entry", "one-number-pair",
-             "zero-denominator", "fractional-boundary", "bool-boundary",
-             "string-labels"}
+             "zero-denominator", "rational-bool", "rational-float",
+             "fractional-boundary", "bool-boundary", "string-labels"}
 
 
 @pytest.mark.parametrize("payload", sorted(FUZZ_PAYLOADS))

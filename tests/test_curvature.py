@@ -14,6 +14,7 @@ Core claims:
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ import pytest
 from lorentzmet import Causet
 from lorentzmet.curvature import (
     _DEFAULT_PARAMS,
+    _model_distance,
     SidePoint,
     SideParams,
     check_curvature_bound,
@@ -353,6 +355,131 @@ def test_checks_match_oracle_on_perturbed_hosts():
                         seen[bound].update(status)
     assert seen["lower"] == seen["upper"] == {"ok", "vacuous", "violation"}
     assert uncapped > 0
+
+
+def test_checks_match_oracle_at_benchmark_settings():
+    # the benchmark's call (100 triangles, min_sides (0.2, 0.2, 0.05)) on
+    # 200-400 point hosts, every other one scaled by up to 10% so that both
+    # bounds see violations
+    rng = np.random.default_rng(23)
+    seen = set()
+    for h, n in enumerate((200, 260, 330, 400)):
+        host = sample_causet(DiamondSpace(), SampleSpec(count=n, seed=40 + h))
+        if h % 2:
+            d = host.d * rng.uniform(0.9, 1.1, size=host.d.shape)
+            host = Causet(host.labels, d)
+        for bound in ("lower", "upper"):
+            report = check_curvature_bound(host, bound=bound,
+                                           min_sides=(0.2, 0.2, 0.05),
+                                           max_triangles=100, seed=h)
+            assert len(report.records) == 100
+            want = oracle_curvature_checks(
+                host, [r.vertices for r in report.records], bound, 0.05,
+                _DEFAULT_PARAMS)
+            assert report.to_json()["records"] == want
+            seen.update((bound, ch["status"])
+                        for r in want for ch in r["checks"])
+    assert {(bound, status) for bound in ("lower", "upper")
+            for status in ("ok", "violation")} <= seen
+
+
+def test_model_distance_over_arrays_is_the_scalar_one_bitwise():
+    # the checks take their model distances over arrays of side lengths
+    # from the function behind comparison_distance_m0; 3000 realizable
+    # triples, a fifth of them one ulp from degenerate, spread over every
+    # pair of side points
+    rng = np.random.default_rng(27)
+    points = [SidePoint(side, t) for side in ("xy", "yz", "xz")
+              for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    pairs = [(d1, d2) for d1 in points for d2 in points]
+    a, b = rng.uniform(0.01, 2.0, size=(2, 3000))
+    c = np.where(rng.uniform(size=3000) < 0.2, np.nextafter(a + b, np.inf),
+                 a + b + rng.uniform(1e-9, 1.0, size=3000))
+    assert (a + b < c).all()
+    for k, (d1, d2) in enumerate(pairs):
+        idx = np.arange(k, 3000, len(pairs))
+        got = np.broadcast_to(
+            _model_distance(a[idx], b[idx], c[idx], d1, d2), idx.shape)
+        want = [comparison_distance_m0(float(a[i]), float(b[i]),
+                                       float(c[i]), d1, d2) for i in idx]
+        assert got.tobytes() == np.array(want).tobytes(), (d1, d2)
+    # rounding can leave t*^2 - a^2 just below 0 one ulp from degenerate:
+    # x* is then 0, not NaN
+    near = c == np.nextafter(a + b, np.inf)
+    assert all(comparison_triangle_m0(*sides)[1][1] >= 0.0
+               for sides in zip(*(v[near].tolist() for v in (a, b, c))))
+
+
+def test_witness_of_a_check_split_over_chunks_is_the_first():
+    # x << y << z with sides 3, 3, 10, and 130 points s with d(x, s),
+    # d(s, y), d(y, s) and d(s, z) all 1.5, and d(s_i, s_j) = 1 for i < j:
+    # at tol 0.1 every s, and nothing else, is a candidate at both ends of
+    # (xy 0.5, yz 0.5), whose 130**2 pairs pass the 16384 a chunk holds.
+    # The upper bound fails (max 1 < 5 - 0.1) with the maximum tied in
+    # every row: the witness is the first pair, as the oracle's argmax
+    m = 130
+    x, y, z = range(3)
+    d = np.zeros((m + 3, m + 3))
+    d[x, y], d[y, z], d[x, z] = 3.0, 3.0, 10.0
+    d[x, 3:] = d[3:, y] = d[y, 3:] = d[3:, z] = 1.5
+    d[3:, 3:] = np.triu(np.ones((m, m)), 1)
+    host = Causet.from_matrix(d)
+    report = check_curvature_bound(host, bound="upper", tol=0.1,
+                                   max_triangles=None)
+    want = oracle_curvature_checks(
+        host, [r.vertices for r in report.records], "upper", 0.1,
+        _DEFAULT_PARAMS)
+    assert report.to_json()["records"] == want
+    (split,) = [r["checks"][0] for r in want if r["vertices"] == [x, y, z]]
+    assert split["d1"] == ["xy", 0.5] and split["d2"] == ["yz", 0.5]
+    assert split["status"] == "violation"
+    assert (split["witness"]["p"], split["witness"]["q"]) == (3, 4)
+
+
+def test_nan_model_distance_is_a_violation_with_its_witness():
+    # d(x, z) = 1e300 overflows the model: t* = inf, and (xz 0.5, xy 0.5)
+    # places its points at (5e299, 0) and (inf, inf), a NaN distance.  No
+    # d(p, q) passes a NaN limit, so the check is a violation; its witness
+    # is the one pair, as in the oracle
+    x, p, y, q, z = range(5)
+    d = np.zeros((5, 5))
+    d[x, p], d[p, y], d[x, y], d[y, z] = 0.5, 0.5, 1.0, 1.0
+    d[x, q], d[q, z], d[x, z], d[q, p] = 5e299, 5e299, 1e300, 0.25
+    host = Causet.from_matrix(d)
+    params = (SideParams(SidePoint("xz", 0.5), SidePoint("xy", 0.5)),)
+    for bound in ("lower", "upper"):
+        report = check_curvature_bound(host, bound=bound,
+                                       side_params=params, max_triangles=None)
+        want = oracle_curvature_checks(
+            host, [r.vertices for r in report.records], bound, 0.05, params)
+        assert repr(report.to_json()["records"]) == repr(want)
+        (check,) = report.records[0].checks
+        assert report.records[0].vertices == (x, y, z)
+        assert check.status == "violation"
+        assert (check.witness["p"], check.witness["q"]) == (q, p)
+        assert math.isnan(check.witness["model"])
+
+
+def test_check_memory_when_every_point_is_a_candidate():
+    # tol = inf makes every host point a candidate on every side, so each
+    # check has n^2 pairs, expanded in chunks.  The bounds are 1.5 times
+    # the tracemalloc peaks of the same calls when each check gathered its
+    # own np.ix_ block (numpy 2.4, Python 3.11): 1,921,088 bytes on the
+    # sampled host, and 5,885,080 on the exhaustive one, mostly its 5,892
+    # records
+    for n, cap, before in ((300, 100, 1_921_088), (64, None, 5_885_080)):
+        host = sample_causet(DiamondSpace(), SampleSpec(count=n, seed=1))
+        host.as_float()
+        tracemalloc.start()
+        try:
+            report = check_curvature_bound(host, tol=math.inf,
+                                           max_triangles=cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * before, (n, peak)
+        assert len(report.records) == (cap or 5892)
+        assert report.n_ok == len(_DEFAULT_PARAMS) * len(report.records)
 
 
 def test_report_json_shape():
