@@ -12,6 +12,7 @@ distinction metric and strictly increasing along strict J.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -98,9 +99,10 @@ def time_function(c: Causet, ordering: Sequence[int] | None = None
     """Time function from geometrically weighted distance profiles.
 
     Strictly increasing along strict J and 1-Lipschitz with respect to the
-    distinction metric.  A Fraction payload is exact, with Fraction
-    arithmetic once per nonzero entry of the causet's sign pattern (signs
-    read from the float image, exact only where an entry underflows).
+    distinction metric.  A Fraction payload is exact: each point sums its
+    nonzero terms (read from the causet's sign pattern) as ints over the
+    lcm L of their denominators, the weights 2^-n as shifts, and builds
+    one Fraction over L 2^(n+1).
     """
     n, ordering = c.n, tuple(_ordering(c.n, ordering))
     s = np.array(ordering, dtype=int)
@@ -110,16 +112,27 @@ def time_function(c: Causet, ordering: Sequence[int] | None = None
         # sum_n w_n d(s_n, x) - sum_n w_n d(x, s_n), halved
         base = (w @ d[s, :] - d[:, s] @ w) / 2
     else:
-        # exact weights; a nonzero entry d(i, j) adds W_i d(i, j) to point
-        # j and subtracts W_j d(i, j) from point i, with W_{s_n} = w_n / 2
         w = np.array([Fraction(1, 2 ** k) for k in range(1, n + 1)],
                      dtype=object)
-        half = (w / 2)[np.argsort(s)]
+        # d(i, j) = a / b gives point j the term W_i a / b and point i the
+        # term -W_j a / b, W_p = 2^-(rank(p) + 2) = 2^(n - 1 - rank(p)) /
+        # 2^(n + 1); each point sums its terms over the lcm of their b
+        shift = (n - 1 - np.argsort(s)).astype(object)
         i, j = np.nonzero(c._image[2])
-        v = c.d[i, j]
+        a, b = np.array([v.as_integer_ratio() for v in c.d[i, j]],
+                        dtype=object).reshape(-1, 2).T
+        point = np.concatenate([j, i])
+        order = np.argsort(point)
+        point, num, den = point[order], np.concatenate(
+            [a << shift[i], -a << shift[j]])[order], np.tile(b, 2)[order]
+        first = np.flatnonzero(np.diff(point, prepend=-1))
+        count = np.diff(first, append=len(point))
+        lcm = np.array([math.lcm(*den[k:k + m]) for k, m in
+                        zip(first, count)], dtype=object)
+        total = np.add.reduceat(num * (lcm.repeat(count) // den), first)
         base = np.full(n, Fraction(0), dtype=object)
-        np.add.at(base, j, half[i] * v)
-        np.subtract.at(base, i, half[j] * v)
+        base[point[first]] = [Fraction(v, m << (n + 1))
+                              for v, m in zip(total, lcm)]
     return TimeFunction(base, w, ordering)
 
 

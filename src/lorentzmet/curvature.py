@@ -209,8 +209,11 @@ def _on_side(d: np.ndarray, tri: np.ndarray, sp: SidePoint,
     """
     o, e = (tri[:, i] for i in _SIDES[sp.side])
     length = d[o, e][:, None]
-    from_o = np.abs(d[o] / length - sp.t) <= tol
-    from_e = np.abs(d[:, e].T / length - (1.0 - sp.t)) <= tol
+    # a ratio past the float range is +inf and fails <= tol, as it would
+    # exactly
+    with np.errstate(over="ignore"):
+        from_o = np.abs(d[o] / length - sp.t) <= tol
+        from_e = np.abs(d[:, e].T / length - (1.0 - sp.t)) <= tol
     return from_o & from_e
 
 

@@ -92,10 +92,11 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[tuple[str, ...], list[tuple]
     for k, n in enumerate(cfg.sizes):
         t0 = time.perf_counter()
         c = sample_causet(DiamondSpace(), SampleSpec(count=n, seed=cfg.seed))
-        # a one-point sample quotients to an empty causet, whose net is empty
+        # a one-point sample quotients to an empty causet, whose net is
+        # empty and which has no refinement bound
         net_size = len(extract_net(c, cfg.eps).members) if c.n else 0
         gh_upper = None
-        if k + 1 < len(cfg.sizes):
+        if c.n and k + 1 < len(cfg.sizes):
             gh_upper = refinement_upper_bound(pts[: cfg.sizes[k + 1]], n)
         ms = int(round((time.perf_counter() - t0) * 1000))
         rows.append((n, gh_upper, net_size, ms))

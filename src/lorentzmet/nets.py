@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _PUBLIC
-from .causet import (Causet, _min_slack, _signed_image, _sup_gaps, diameter,
-                     distance_quotient, induced, validate)
+from .causet import (Causet, _magnitude, _min_slack, _signed_image, _sup_gaps,
+                     diameter, distance_quotient, induced, validate)
 from .distinction import GammaMatrix, _gamma_of, gamma
 
 __all__ = list(_PUBLIC["nets"])
@@ -179,7 +179,8 @@ def _simplest_between(a: int, b: int, c: int, e: int) -> Fraction:
 
 
 def _min_gamma(d: np.ndarray, f: np.ndarray, err: float):
-    """Smallest exact gamma between two points; on a finite image f the
+    """Smallest exact gamma between two points of d, or q times it when d
+    holds the numerators over q; on a finite image f of the entries the
     float gamma is within err of it, so only pairs near its minimum count.
     """
     i, j = np.triu_indices(d.shape[0], 1)
@@ -205,6 +206,22 @@ def _link_counts(pos: np.ndarray) -> np.ndarray:
     return t
 
 
+def _numerators(c: Causet) -> tuple[np.ndarray, int]:
+    """Exact entries of c as x / q: a float payload is dyadic, read once
+    by np.frexp as ints over one power of two; a Fraction payload is its
+    nonzero entries as Fractions (0 elsewhere) over q = 1."""
+    if c.is_rational:
+        x = np.zeros(c.d.shape, dtype=object)
+        nz = c._image[2] != 0
+        x[nz] = np.frompyfunc(Fraction, 1, 1)(c.d[nz])
+        return x, 1
+    m, e = np.frexp(c.as_float())
+    m = (m * 2.0**53).astype(np.int64)  # exact: the 53-bit significand
+    e = np.where(m != 0, e - 53, 0)
+    top = max(0, -int(e.min(initial=0)))
+    return m.astype(object) << (e + top).astype(object), 1 << top
+
+
 def rationalize(c: Causet, eps: float) -> Causet:
     """Exact-rational causet within eps of the input, entrywise.
 
@@ -215,50 +232,63 @@ def rationalize(c: Causet, eps: float) -> Causet:
     small-denominator rational inside a margin that preserves strictness,
     positivity, and the distinguishing axiom.  All arithmetic is exact, the
     minima that size delta and the margin included (exact: float64 filter,
-    exact refinement).  A float payload must pass as_float; chronological
-    cycles raise ValueError.
+    exact refinement).  It runs on numerators over one common denominator
+    (ints over a power of two for a float payload, Fractions over 1 for a
+    Fraction one); a Fraction is built only for an output entry.  A float
+    payload must pass as_float; chronological cycles raise ValueError.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = c.n
-    src = c.d if c.is_rational else c.as_float()
-    # Fraction() once per nonzero entry; the zeros share one Fraction(0)
-    nz = c._image[2] != 0 if c.is_rational else src != 0
-    d = np.full(src.shape, Fraction(0), dtype=object)
-    d[nz] = np.frompyfunc(Fraction, 1, 1)(src[nz])
+    x, q = _numerators(c)  # d = x / q, exactly
     pos = c._positive()  # a float and its Fraction share their sign
+    # the entries stage two does not round; the zeros share one Fraction(0)
+    out = np.full(x.shape, Fraction(0), dtype=object)
+    kept = (x != 0) & ~pos if n > 1 else x != 0
+    out[kept] = [Fraction(v, q) for v in x[kept]]
     if n < 2:
-        return Causet(c.labels, d, boundary=c.boundary, meta=c.meta)
+        return Causet(c.labels, out, boundary=c.boundary, meta=c.meta)
 
     eps_f = Fraction(eps)
-    alpha = _min_gamma(d, *c._image[:2])
+    f, err = c._image[:2]
+    alpha = Fraction(_min_gamma(x, f, err), q)
     if alpha <= 0:
         raise ValueError("input causet is not distinguishing")
     if not pos.any():
-        return Causet(c.labels, d, boundary=c.boundary, meta=c.meta)
+        return Causet(c.labels, out, boundary=c.boundary, meta=c.meta)
 
     pair_budget = Fraction(n * (n - 1), 2) ** 2
     delta = min(alpha / 4, eps_f / 2) / pair_budget
     t = _link_counts(pos)
     if np.diag(t).any():
         raise ValueError("input causet has a chronological cycle")
-    d1 = d.copy()
-    d1[pos] = d[pos] + delta * (t[pos] ** 2).astype(object)
+    # stage one, d1 = x1 / q1 over q1 = lcm(q, den(delta))
+    q1 = math.lcm(q, delta.denominator)
+    x1 = x * (q1 // q)
+    x1[pos] += (t[pos].astype(object) ** 2
+                * (delta.numerator * (q1 // delta.denominator)))
+    # each positive d1 entry as a / (b q1), for its image and stage two
+    ratios = [v.as_integer_ratio() for v in x1[pos]]
+    f1 = f.copy()
+    try:
+        f1[pos] = [a / (b * q1) for a, b in ratios]
+    except OverflowError:  # past the float range: +inf, as in _signed_image
+        f1[pos] = [_magnitude(Fraction(a, b * q1)) for a, b in ratios]
 
-    slack = _min_slack(d1, pos, *_signed_image(d1)[:2])
-    p_min = min(d1[pos])
+    # q1 times the slack of d1, filtered on d1's image
+    slack = _min_slack(x1, pos, *_signed_image(f1)[:2])
     if slack <= 0:  # stage one makes every valid input strictly slack
         raise ValueError("input causet breaks the reverse triangle "
                          "inequality (stage-one slack "
                          f"{'0' if slack == 0 else 'negative'})")
-    margin = min(eps_f / 2, alpha / 8, p_min / 2, slack / 4)
+    # min(p_min / 2, slack / 4), with p_min the least positive d1 entry
+    margin = min(eps_f / 2, alpha / 8,
+                 Fraction(min(2 * min(x1[pos]), slack), 4 * q1))
 
-    out = d1.copy()
     mp, mq = margin.numerator, margin.denominator
-    for i, j in zip(*np.nonzero(pos)):
-        v = d1[i, j]
-        num, w, den = v.numerator * mq, mp * v.denominator, v.denominator * mq
-        out[i, j] = _simplest_between(num - w, den, num + w, den)
+    w, dm = mp * q1, mq * q1
+    out[pos] = [_simplest_between(a * mq - w * b, b * dm, a * mq + w * b,
+                                  b * dm) for a, b in ratios]
     return Causet(c.labels, out, boundary=c.boundary, meta=c.meta)
 
 
@@ -303,10 +333,11 @@ def limit_causet(seq: Sequence[Causet], tol: float = 0.05) -> Causet:
     # max(coef, 0.0) as Python computes it, -0.0 kept
     limit = np.where(const, tail[0], np.where(coef < 0, 0.0, coef))
 
-    # a merge can bring two representatives within tol: repeat to a fixpoint
-    out, _ = distance_quotient(Causet(labels, limit), tol=tol)
-    while (again := distance_quotient(out, tol=tol)[0]).n < out.n:
-        out = again
+    # a merge can bring two representatives within tol: repeat until a
+    # pass merges nothing
+    c = Causet(labels, limit)
+    while (out := distance_quotient(c, tol=tol)[0]).n < c.n:
+        c = out
     report = validate(out, tol=max(tol, 1e-12))
     if not report.valid:
         kinds = sorted(report.kinds())

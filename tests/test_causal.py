@@ -12,6 +12,7 @@ from lorentzmet import (
     is_chain,
     is_maximal,
     longest_chain,
+    rationalize,
     time_function,
 )
 from lorentzmet.causal import Chain
@@ -187,6 +188,43 @@ def _check_exact_tau(c, ordering):
     assert got.shape == (c.n,)
     assert all(type(v) is Fraction for v in got)
     assert list(got) == list(oracle_tau_base(c, ordering))
+
+
+def _check_tau_ratios(c, ordering=None):
+    """Exact time_function values: the oracle's numerators and
+    denominators, each a Fraction."""
+    got = time_function(c, ordering).values
+    want = oracle_tau_base(c, ordering)
+    assert all(type(v) is Fraction for v in got)
+    assert [(v.numerator, v.denominator) for v in got] == \
+        [(v.numerator, v.denominator) for v in want]
+
+
+def test_exact_time_function_sums_each_point_over_its_lcm():
+    # rationalized samples (many distinct odd denominators), 400-bit and
+    # shared-factor denominators, int entries, and n = 0, 1, 2
+    rng = np.random.default_rng(61)
+    for k in range(6):
+        c = sample_causet(DiamondSpace(), SampleSpec(count=10 + 6 * k,
+                                                     seed=k))
+        r = rationalize(c, 1e-3)
+        _check_tau_ratios(r)
+        _check_tau_ratios(r, list(rng.permutation(r.n)))
+        big = np.zeros(c.d.shape, dtype=object)
+        big[c.d != 0] = [Fraction(v) * Fraction(3**252 + 1, 3**252)
+                         for v in c.d[c.d != 0]]
+        _check_tau_ratios(Causet(c.labels, big))
+    for n in range(6):
+        m = np.zeros((n, n), dtype=object)
+        for i, j in zip(*np.triu_indices(n, 1)):
+            if rng.random() < 0.7:
+                m[i, j] = (int(rng.integers(1, 9)) if rng.random() < 0.3
+                           else Fraction(int(rng.integers(1, 90)),
+                                         int(rng.choice([6, 10, 15]))))
+        c = Causet(tuple(f"p{k}" for k in range(n)), m)
+        _check_tau_ratios(c, list(rng.permutation(n)))
+        # all spacelike: every value is 0
+        _check_tau_ratios(Causet(c.labels, np.zeros((n, n), dtype=object)))
 
 
 def test_time_function_is_one_lipschitz(small_corpus):

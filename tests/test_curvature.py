@@ -436,6 +436,29 @@ def test_witness_of_a_check_split_over_chunks_is_the_first():
     assert (split["witness"]["p"], split["witness"]["q"]) == (3, 4)
 
 
+def test_huge_entries_over_short_sides_do_not_warn():
+    # an entry near 1e308 over a short side overflows d(o, p) / length:
+    # the ratio is +inf and fails <= tol, as the exact ratio would, with
+    # no RuntimeWarning on this finite input
+    rng = np.random.default_rng(53)
+    for h in range(6):
+        host = sample_causet(DiamondSpace(), SampleSpec(count=16, seed=h))
+        d = host.d.copy()
+        d[tuple(rng.integers(0, host.n, size=2))] = (1e300, 1e308)[h % 2]
+        host = Causet(host.labels, d)
+        for bound in ("lower", "upper"):
+            for tol in (0.05, 0.2):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    report = check_curvature_bound(
+                        host, bound=bound, tol=tol, max_triangles=None)
+                with np.errstate(over="ignore"):
+                    want = oracle_curvature_checks(
+                        host, [r.vertices for r in report.records], bound,
+                        tol, _DEFAULT_PARAMS)
+                assert report.to_json()["records"] == want
+
+
 def test_nan_model_distance_is_a_violation_with_its_witness():
     # d(x, z) = 1e300 overflows the model: t* = inf, and (xz 0.5, xy 0.5)
     # places its points at (5e299, 0) and (inf, inf), a NaN distance.  No

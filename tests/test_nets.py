@@ -304,6 +304,122 @@ def test_rationalize_keeps_rational_input_close():
     assert out.d[0, 1].denominator <= 1000
 
 
+def _same_as_oracle(c, eps):
+    """rationalize(c, eps) has the oracle's numerators and denominators,
+    every entry a Fraction, or both refuse c; the output when not."""
+    try:
+        want = oracle_rationalize(c, eps)
+    except ValueError:
+        with pytest.raises(ValueError):
+            rationalize(c, eps)
+        return None
+    got = rationalize(c, eps).d
+    assert all(type(v) is Fraction for v in got.flat)
+    assert [(v.numerator, v.denominator) for v in got.flat] == \
+        [(v.numerator, v.denominator) for v in want.flat]
+    return got
+
+
+def _fraction_dag(rng, n, dens):
+    """A closed random Fraction DAG with the given denominators."""
+    d = np.zeros((n, n), dtype=object)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                d[i, j] = Fraction(int(rng.integers(1, 60)),
+                                   int(rng.choice(dens)))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i, k] > 0 and d[k, j] > 0:
+                    d[i, j] = max(d[i, j], d[i, k] + d[k, j])
+    return Causet(tuple(f"p{k}" for k in range(n)), d)
+
+
+def test_rationalize_integer_path_on_extreme_floats():
+    # a float payload is read as ints over one power of two 2**E: with
+    # subnormal and 1e-300 entries E passes 1023, so the numerators have
+    # no float64 image and the slack filter must read d1's values
+    d = np.zeros((4, 4))
+    d[0, 1], d[1, 2], d[0, 2] = 5e-324, 1e-300, 1e-299
+    d[2, 3], d[1, 3], d[0, 3] = 1.0, 1.5, 2.0
+    tiny = Causet.from_matrix(d)
+    assert nets_module._numerators(tiny)[1] == 2**1126
+    for eps in (1e-3, 1e-310, 1e300):
+        assert _same_as_oracle(tiny, eps) is not None
+    rng = np.random.default_rng(41)
+    for k in range(12):
+        c = random_valid_matrix(rng, int(rng.integers(2, 9)))
+        # powers of two scale the entries exactly: the inputs stay valid
+        for scale in (2.0**-1000, 2.0**-1020, 2.0**1000, 2.0**1015):
+            scaled = Causet(c.labels, c.d * scale)
+            assert _same_as_oracle(scaled, 1e-3 * scale) is not None
+            # near 2**1000, a delta sized by eps = 1e-3 cannot lift the
+            # float closure's rounding defects: both refuse the input
+            _same_as_oracle(scaled, 1e-3)
+
+
+def test_rationalize_slack_filter_reads_stage_one_values(monkeypatch):
+    # the float filter of the stage-one slack gets d1 = d + delta t^2, not
+    # the numerators over the common denominator
+    seen = []
+
+    def spy(d, pos, f, err):
+        seen.append(f.copy())
+        return min_slack(d, pos, f, err)
+
+    min_slack = nets_module._min_slack
+    monkeypatch.setattr(nets_module, "_min_slack", spy)
+    d = np.zeros((4, 4))
+    d[0, 1], d[1, 2], d[0, 2] = 5e-324, 1e-300, 1e-299
+    d[2, 3], d[1, 3], d[0, 3] = 1.0, 1.5, 2.0
+    c = sample_causet(DiamondSpace(), SampleSpec(count=30, seed=2))
+    for host in (Causet.from_matrix(d), c):
+        rationalize(host, 1e-3)
+        assert np.abs(seen.pop() - host.d).max() <= 1e-3
+
+
+def test_rationalize_integer_path_on_fraction_payloads():
+    rng = np.random.default_rng(43)
+    big = Fraction(3**252 + 1, 3**252)  # entries with 400-bit denominators
+    for k in range(10):
+        c = random_valid_matrix(rng, int(rng.integers(2, 9)))
+        exact = np.zeros(c.d.shape, dtype=object)
+        exact[c.d != 0] = [Fraction(v) * big for v in c.d[c.d != 0]]
+        out = _same_as_oracle(Causet(c.labels, exact), 1e-3)
+        assert max(v.denominator for v in exact.flat).bit_length() > 400
+        # a rationalized input: many distinct odd denominators
+        _same_as_oracle(Causet(c.labels, out), Fraction(1, 7))
+        # denominators 1, 6, 10 and 15, which share factors
+        _same_as_oracle(_fraction_dag(rng, int(rng.integers(2, 9)),
+                                      [1, 6, 10, 15]), 1e-2)
+    for k in range(30):  # planted defects, past-range and tiny entries
+        d = random_fraction_matrix(rng, int(rng.integers(2, 8)))
+        _same_as_oracle(Causet(tuple(f"p{k}" for k in range(len(d))), d),
+                        1e-3)
+    c = sample_causet(DiamondSpace(), SampleSpec(count=40, seed=5))
+    _same_as_oracle(rationalize(c, 1e-3), 1e-3)
+
+
+def test_rationalize_small_and_spacelike_inputs():
+    zero = np.zeros((0, 0))
+    for m in (zero, zero.astype(object), [[0.0]], [[Fraction(0)]],
+              [[0.0, 0.5], [0.0, 0.0]], [[Fraction(0), Fraction(1, 3)],
+                                         [Fraction(0), Fraction(0)]]):
+        c = Causet.from_matrix(m)
+        assert _same_as_oracle(c, 1e-3).shape == (c.n, c.n)
+    # all spacelike: the raw matrix is not distinguishing, the sample
+    # quotients to a point or to nothing
+    for m in (np.zeros((3, 3)), np.zeros((2, 2), dtype=object) + Fraction(0)):
+        with pytest.raises(ValueError, match="distinguishing"):
+            rationalize(Causet.from_matrix(m), 1e-3)
+    pts = [(0.1, 0.9), (0.3, 0.7), (0.6, 0.5)]
+    for boundary in (False, True):
+        c = causet_from_points(pts, include_boundary_point=boundary)
+        assert c.n == boundary
+        assert _same_as_oracle(c, 1e-3).shape == (c.n, c.n)
+
+
 # -- simplest rational in an interval -----------------------------------------
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -396,6 +512,30 @@ def test_limit_quotients_until_nothing_merges():
     assert validate(out, tol=0.05).valid
     keep = [c.labels.index(lbl) for lbl in out.labels]
     assert np.abs(out.d - c.d[np.ix_(keep, keep)]).max() <= 0.05
+
+
+def test_limit_quotient_passes_end_after_one_that_merges_nothing(
+        monkeypatch):
+    # k passes that merge, then one that merges nothing: k + 1 quotients
+    merged = []
+
+    def counting(c, tol):
+        out = quotient(c, tol=tol)
+        merged.append(out[0].n < c.n)
+        return out
+
+    quotient = nets_module.distance_quotient
+    monkeypatch.setattr(nets_module, "distance_quotient", counting)
+    cloud = np.array([(0.25, 0.25), (0.5, 0.5), (0.75, 0.75), (0.7, 0.3)])
+    seq = [causet_from_points(0.5 + (cloud - 0.5) * (1 + 1 / (10 * m)))
+           for m in range(1, 13)]
+    limit_causet(seq, tol=0.05)
+    assert merged == [False]
+    merged.clear()
+    c = sample_causet(DiamondSpace(), SampleSpec(count=13, seed=1928680310))
+    limit_causet([Causet(c.labels, c.d * (1 + 1 / m)) for m in range(20, 28)],
+                 tol=0.05)
+    assert merged == [True, True, False]
 
 
 def test_limit_of_shrinking_cloud():
