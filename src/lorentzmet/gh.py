@@ -20,6 +20,8 @@ bound alone.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -69,8 +71,7 @@ class GHResult:
     exact: float | None
     witness: Correspondence | None
     method: str  # exact | greedy | branch-bound: the budget stopped search
-    # gh_exact's search counters (see gh_exact), empty for greedy results;
-    # not part of to_json
+    # search counters (see gh_exact and gh_upper_greedy); not part of to_json
     stats: MappingProxyType = field(
         default_factory=lambda: MappingProxyType({}))
 
@@ -80,6 +81,14 @@ class GHResult:
         if self.exact is not None:
             out["exact"] = self.exact
         return out
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; a TypeError names the parameter if it is none."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _checked(c: Causet, name: str) -> np.ndarray:
@@ -162,64 +171,79 @@ def _slot_pairs(m, n, k, p):
     return slice(p * n, p * n + n, 1) if k < m else slice(p, m * n, n)
 
 
-def _greedy_once(da, db, x_order, y_order, mismatch, table):
-    """One greedy construction of (f, g), then first-improvement polish if
-    the pair table is given.
+def _greedy_once(da, db, x_order, y_order, mismatch, table, stats):
+    """One greedy construction of (f, g), then first-improvement local
+    search if the pair table is given; stats counts its rounds and moves.
 
-    Slot k < m holds the pair (k, f(k)) and slot m + y the pair (g(y), y).
+    Slot x < m holds the pair (x, f[x]) and slot m + y the pair (g[y], y).
     reach[P] is the largest pair distortion between P and the filled slots
     or P itself; each filled slot adds its row, read from the table if
-    there is one, else from _pair_rows.
+    there is one, else from _pair_rows.  Local search keeps M, the table
+    among the slots' pairs, whose largest entry is the distortion best.
+    Slot k's score for an image is the distortion with slot k set to it,
+    so if an entry outside row and column k of M reaches best, no image
+    scores below best: only the other slots are re-scored, which keeps the
+    first-improvement search over every slot, in slot order, as it was.
     """
     m, n = len(da), len(db)
-    xs = np.concatenate([np.arange(m), np.zeros(n, dtype=int)])
-    ys = np.concatenate([np.zeros(m, dtype=int), np.arange(n)])
-    sides = ((xs, ys, mismatch), (ys, xs, mismatch.T))  # fixed, free point
-    selfw = reach = np.abs(da.diagonal()[:, None] - db.diagonal()).ravel()
+    f, g = [0] * m, [0] * n
+    selfw = np.abs(da.diagonal()[:, None] - db.diagonal()).ravel()
+    reach = selfw.copy()
 
     # each slot takes the image of least reach; ties go to the smaller
     # profile mismatch, then the smaller index
     for k in np.concatenate([x_order, np.add(y_order, m)]).tolist():
-        fixed, free, mis = sides[k >= m]
-        cost = reach[_slot_pairs(m, n, k, fixed[k])]
-        free[k] = np.lexsort((mis[fixed[k]], cost))[0]
-        row = _pair_rows(da, db, xs[k], ys[k]) if table is None \
-            else table[xs[k] * n + ys[k]]
-        reach = np.maximum(reach, row)
+        p = k if k < m else k - m
+        cost = reach[_slot_pairs(m, n, k, p)].tolist()
+        q = cost.index(least := min(cost))
+        if cost.count(least) > 1:
+            mis = mismatch[p] if k < m else mismatch[:, p]
+            q = int(np.lexsort((mis, cost))[0])
+        (f if k < m else g)[p] = q
+        x, y = (p, q) if k < m else (q, p)
+        np.maximum(reach, _pair_rows(da, db, x, y) if table is None
+                   else table[x * n + y], out=reach)
 
-    # local search: re-pick one slot at a time while it helps; the score
-    # of every image for slot k is the distortion with slot k set to it,
-    # the largest of its table entries against the other slots, its self
-    # term and the distortion among the other slots
-    best = _dis(da, db, xs, ys)
     if table is None:
-        return best, ys[:m].tolist(), xs[m:].tolist()
-    pairs = xs * n + ys
-    keep = np.arange(m + n - 1)
-    others = keep + (keep >= np.arange(m + n)[:, None])  # row k skips k
+        return _dis(da, db, list(range(m)) + g, f + list(range(n))), f, g
+    pairs = np.array([x * n + y for x, y in enumerate(f)] +
+                     [x * n + y for y, x in enumerate(g)])
+    M = table[pairs][:, pairs]
+    best = M.max() or 0.0
+
+    def lowering(after):  # slots past `after` whose row and column hold
+        can = set(range(after + 1, m + n))  # every entry that reaches best
+        for h in (M.ravel() == best).nonzero()[0].tolist():
+            can &= set(divmod(h, m + n))
+            if not can:
+                break
+        return sorted(can)
+
     for _ in range(8):
-        improved = False
-        for k in range(m + n):
-            rest = pairs[others[k]]
-            # best is the larger of slot k's own terms and the distortion
-            # among the other slots; if slot k's terms are below best, the
-            # latter equals best and no image can score below it
-            if max(table[pairs[k], rest].max(), selfw[pairs[k]]) < best:
-                continue
-            fixed, free, _ = sides[k >= m]
-            cand = _slot_pairs(m, n, k, fixed[k])
-            score = np.maximum(table[cand][:, rest].max(axis=1), selfw[cand])
-            score = np.maximum(score, table[rest][:, rest].max())
-            cur = free[k]
+        stats["rounds"] += 1
+        improved, todo = False, lowering(-1)
+        while todo:
+            k = todo.pop(0)
+            p, fv = (k, f) if k < m else (k - m, g)
+            cand = _slot_pairs(m, n, k, p)
+            w = table[cand, pairs]  # every image against every slot,
+            w[:, k] = selfw[cand]  # and against itself in slot k
+            rest = np.arange(m + n) != k
+            score = np.maximum(w.max(axis=1), M[rest][:, rest].max())
+            cur = fv[p]
             for q, v in enumerate(score.tolist()):
                 if q != cur and v < best - 1e-15:
                     best, cur = score[q] or 0.0, q
-                    improved = True
-            free[k] = cur
-            pairs[k] = xs[k] * n + ys[k]
+            if cur != fv[p]:
+                fv[p] = cur
+                pairs[k] = p * n + cur if k < m else cur * n + p
+                M[k] = M[:, k] = table[pairs[k], pairs]
+                improved = True
+                stats["moves"] += 1
+                todo = lowering(k)
         if not improved:
             break
-    return best, ys[:m].tolist(), xs[m:].tolist()
+    return best, f, g
 
 
 def _function_pair_correspondence(m, n, f, g) -> Correspondence:
@@ -227,15 +251,17 @@ def _function_pair_correspondence(m, n, f, g) -> Correspondence:
     return Correspondence(m, n, tuple(pairs))
 
 
-def _greedy_runs(da, db, seed, table):
+def _greedy_runs(da, db, seed, table, stats):
     """(distortion, f, g) of _greedy_once without end: the first run in
-    decreasing row-variance order, each later one in a seeded shuffle."""
+    decreasing row-variance order, each later one in a seeded shuffle.
+    stats counts the runs, and _greedy_once's rounds and moves."""
     m, n = len(da), len(db)
     rng = np.random.default_rng(seed)
     mismatch = _profile_mismatch(da, db)
     xo, yo = (np.argsort(-d.var(axis=1), kind="stable") for d in (da, db))
     while True:
-        yield _greedy_once(da, db, xo, yo, mismatch, table)
+        stats["runs"] += 1
+        yield _greedy_once(da, db, xo, yo, mismatch, table, stats)
         xo, yo = rng.permutation(m), rng.permutation(n)
 
 
@@ -258,18 +284,24 @@ def gh_upper_greedy(a: Causet, b: Causet, restarts: int = 32,
     Deterministic for a fixed seed.  The first pass matches points by
     sorted-profile similarity; later restarts shuffle construction order.
     Local search runs only for m + n <= TABLE_MAX_POINTS.  When m n >
-    10000, `restarts` is silently capped at 2.
+    10000, `restarts` is silently capped at 2.  `stats` holds the runs
+    made (they stop at distortion 0), the local-search rounds and the
+    accepted moves (slots given a new image).
     """
+    restarts, seed = _integer(restarts, "restarts"), _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     da, db = _checked(a, "a"), _checked(b, "b")
     m, n = len(da), len(db)
     table = _pair_table(da, db) if m + n <= TABLE_MAX_POINTS else None
     if m * n > 10000:
         restarts = min(restarts, 2)
-    val, f, g = _best_run(_greedy_runs(da, db, seed, table), max(1, restarts),
-                          0.0)
+    stats = dict.fromkeys(("runs", "rounds", "moves"), 0)
+    val, f, g = _best_run(_greedy_runs(da, db, seed, table, stats),
+                          max(1, restarts), 0.0)
     return GHResult(lower=_lower_bound(da, db), upper=val, exact=None,
                     witness=_function_pair_correspondence(m, n, f, g),
-                    method="greedy")
+                    method="greedy", stats=MappingProxyType(stats))
 
 
 def _root_bound(table, m, n) -> np.ndarray:
@@ -371,11 +403,14 @@ def gh_exact(a: Causet, b: Causet, max_exact_size: int = 6,
     found, at most gh_upper_greedy's, and lower the least table value no
     completed decision refuted, at least L* and so at least the value-set
     bound.  Past `max_exact_size` points on a side, or TABLE_MAX_POINTS in
-    all, it returns gh_upper_greedy's bounds.  `stats` holds the node
-    count, whether the budget ran out, L* and what certified an exact value
-    ("lstar" when upper == L*, "search" when decisions did, else None).
-    The witness is any correspondence of distortion upper.
+    all, it returns gh_upper_greedy's result, its stats included.
+    Otherwise `stats` holds the node count, whether the budget ran out, L*
+    and what certified an exact value ("lstar" when upper == L*, "search"
+    when decisions did, else None).  The witness is any correspondence of
+    distortion upper.  `node_budget` is an integer or None.
     """
+    if node_budget is not None:
+        node_budget = _integer(node_budget, "node_budget")
     m, n = a.n, b.n
     if max(m, n) > max_exact_size or m + n > TABLE_MAX_POINTS:
         return gh_upper_greedy(a, b)
@@ -386,7 +421,7 @@ def gh_exact(a: Causet, b: Causet, max_exact_size: int = 6,
     values = np.unique(table)
     lo = _lstar(table, root, values, m, n)
     lstar = float(values[lo])
-    runs = _greedy_runs(da, db, 0, table)
+    runs = _greedy_runs(da, db, 0, table, Counter())
     upper, f, g = _best_run(runs, 8, lstar)
     witness = _function_pair_correspondence(m, n, f, g)
     budget, nodes = np.inf if node_budget is None else node_budget, 0

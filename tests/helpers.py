@@ -800,7 +800,8 @@ def _oracle_marginal(pairs, da, db, x, y, current=0.0):
 
 def oracle_greedy_once(da, db, x_order, y_order, mismatch):
     """Greedy (f, g) construction, then first-improvement local search that
-    re-scores the whole pair list for every candidate."""
+    re-scores the whole pair list for every candidate; returns (value, f,
+    g, rounds, moves), a move being a slot that ends a pass re-imaged."""
     m, n = da.shape[0], db.shape[0]
     pairs = []
     f = [-1] * m
@@ -823,14 +824,14 @@ def oracle_greedy_once(da, db, x_order, y_order, mismatch):
         return oracle_pairs_distortion(ps, da, db)
 
     best = full_dis()
-    improved, rounds = True, 0
+    improved, rounds, moves = True, 0, 0
     max_rounds = 8 if m + n <= 80 else 0
     while improved and rounds < max_rounds:
         improved = False
         rounds += 1
         for fv, size in ((f, n), (g, m)):
             for slot in range(len(fv)):
-                cur = fv[slot]
+                cur = start = fv[slot]
                 for cand in range(size):
                     if cand == cur:
                         continue
@@ -840,7 +841,8 @@ def oracle_greedy_once(da, db, x_order, y_order, mismatch):
                         best, cur, improved = v, cand, True
                     else:
                         fv[slot] = cur
-    return best, f, g
+                moves += cur != start
+    return best, f, g, rounds, moves
 
 
 def oracle_lower_bound(da: np.ndarray, db: np.ndarray) -> float:
@@ -852,8 +854,9 @@ def oracle_lower_bound(da: np.ndarray, db: np.ndarray) -> float:
     return max(diam_gap, float(max(gaps)))
 
 
-def oracle_greedy(da, db, restarts=32, seed=0):
-    """(upper, witness pairs, f, g) of gh_upper_greedy from the loops above."""
+def oracle_greedy(da, db, restarts=32, seed=0, stats=None):
+    """(upper, witness pairs, f, g) of gh_upper_greedy from the loops above;
+    a stats Counter adds up the runs, rounds and moves."""
     m, n = da.shape[0], db.shape[0]
     mismatch = oracle_profile_mismatch(da, db)
     base_x = list(np.argsort(-da.var(axis=1), kind="stable"))
@@ -867,7 +870,10 @@ def oracle_greedy(da, db, restarts=32, seed=0):
             xo, yo = base_x, base_y
         else:
             xo, yo = list(rng.permutation(m)), list(rng.permutation(n))
-        val, f, g = oracle_greedy_once(da, db, xo, yo, mismatch)
+        val, f, g, rounds, moves = oracle_greedy_once(da, db, xo, yo,
+                                                      mismatch)
+        if stats is not None:
+            stats.update(runs=1, rounds=rounds, moves=moves)
         if best is None or val < best[0]:
             best = (val, f, g)
         if best[0] == 0.0:

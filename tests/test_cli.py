@@ -392,10 +392,13 @@ def test_fuzz_every_causet_reading_subcommand(tmp_path, capsys, payload):
     for argv in (["validate", p], ["gamma", p], ["tau", p],
                  ["net", p, "--eps", "0.1"], ["rationalize", p],
                  ["curvature", p], ["gh", p, p], ["gh", p, p, "--exact"],
-                 ["limit", p, p]):
+                 ["gh", p, p, "--seed", "-1"], ["limit", p, p]):
         code = main(argv)
         out, err = capsys.readouterr()
         assert code in ((2,) if payload in MALFORMED else (0, 1, 2)), argv
+        if "--seed" in argv and payload not in MALFORMED:
+            assert (code, err) == (1, "error: seed must be nonnegative, "
+                                      "got -1\n")
         if code:
             assert err.startswith("error:"), (argv, err)
         else:

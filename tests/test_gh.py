@@ -9,6 +9,7 @@ Core claims:
 
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -396,6 +397,90 @@ def test_greedy_past_the_table_cap_matches_loop_oracle(monkeypatch):
         upper, pairs, _, _ = oracle_greedy(a.as_float(), b.as_float(), 2,
                                            seed)
         assert (repr(r.upper), r.witness.pairs) == (repr(upper), pairs)
+
+
+# shapes, entry values and the rng seed of random matrices for the greedy
+# tie rules: with few distinct entries many costs tie, and the profile
+# mismatch, then the index, decides; entries 1 + k 2**-52 make scores that
+# differ by less than the 1e-15 acceptance margin
+GREEDY_TIE_CASES = {
+    "integer": ([(3, 4), (5, 5), (6, 4), (8, 7)], [0.0, 1.0, 2.0], 51),
+    "half-integer": ([(4, 6), (7, 7), (9, 5), (10, 10)],
+                     [0.0, 0.5, 1.0, 1.5], 52),
+    "thin": ([(1, 1), (1, 6), (6, 1), (1, 20), (20, 1), (2, 9), (9, 2)],
+             [0.0, 1.0, 2.0], 53),
+    "near-tie": ([(4, 5), (6, 6), (8, 5), (7, 9)],
+                 [0.0, 1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51, 1.0 + 2.0**-50],
+                 54),
+    "12x20": ([(12, 20), (20, 12)], [0.0, 0.5, 1.0, 1.5], 55),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GREEDY_TIE_CASES))
+def test_greedy_tie_rules_match_loop_oracle(case):
+    shapes, values, rng_seed = GREEDY_TIE_CASES[case]
+    rng = np.random.default_rng(rng_seed)
+    runs = ((1, 0), (2, 1)) if case == "12x20" else \
+        [(restarts, seed) for restarts in range(1, 5) for seed in range(3)]
+    for m, n in shapes:
+        a, b = (Causet.from_matrix(rng.choice(values, (k, k))) for k in (m, n))
+        for restarts, seed in runs:
+            r = gh_upper_greedy(a, b, restarts=restarts, seed=seed)
+            upper, pairs, _, _ = oracle_greedy(a.as_float(), b.as_float(),
+                                               restarts, seed)
+            assert (repr(r.upper), r.witness.pairs) == (repr(upper), pairs), \
+                (m, n, restarts, seed)
+
+
+def test_greedy_stats_count_runs_rounds_and_moves():
+    # the loop oracle's counts, which agree with each other
+    host = sample_causet(DiamondSpace(), SampleSpec(count=120, seed=7))
+    rng = np.random.default_rng(43)
+    moves = 0
+    for m, n, restarts in ((1, 1, 3), (4, 6, 0), (8, 9, 4), (10, 10, 2),
+                           (12, 7, 1), (9, 11, 8)):
+        a, b = (induced(host, rng.choice(host.n, k, replace=False))
+                for k in (m, n))
+        r = gh_upper_greedy(a, b, restarts=restarts, seed=m)
+        want = Counter()
+        upper, pairs, _, _ = oracle_greedy(a.as_float(), b.as_float(),
+                                           restarts, m, want)
+        assert (dict(r.stats), repr(r.upper), r.witness.pairs) == (
+            dict(want), repr(upper), pairs)
+        runs, rounds = r.stats["runs"], r.stats["rounds"]
+        assert 1 <= runs <= max(1, restarts)
+        assert runs == max(1, restarts) or r.upper == 0.0
+        assert runs <= rounds <= 8 * runs
+        assert r.stats["moves"] <= rounds * (m + n)
+        moves += r.stats["moves"]
+    assert moves > 0
+    # isometric copies: the first run reaches 0 and is the only one
+    a = induced(host, range(10))
+    r = gh_upper_greedy(a, a, restarts=8)
+    assert (r.upper, dict(r.stats)) == (0.0, {"runs": 1, "rounds": 1,
+                                              "moves": 0})
+    # past the table cap there is no local search
+    a, b = induced(host, range(41)), induced(host, range(41, 81))
+    assert dict(gh_upper_greedy(a, b, restarts=3).stats) == {
+        "runs": 3, "rounds": 0, "moves": 0}
+    # gh_exact past max_exact_size returns greedy's result, counters too
+    a, b = induced(host, range(8)), induced(host, range(8, 17))
+    assert dict(gh_exact(a, b).stats) == dict(gh_upper_greedy(a, b).stats)
+
+
+def test_gh_parameter_errors_name_the_parameter():
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        gh_upper_greedy(CHAIN_1, CHAIN_125, seed=-1)
+    for name, value in (("seed", 0.5), ("seed", None), ("restarts", 2.0)):
+        with pytest.raises(TypeError,
+                           match=f"{name} must be an integer, got {value}"):
+            gh_upper_greedy(CHAIN_1, CHAIN_125, **{name: value})
+    for budget in (float("nan"), 10.0):
+        with pytest.raises(TypeError, match="node_budget must be an integer"):
+            gh_exact(CHAIN_1, CHAIN_125, node_budget=budget)
+    # past max_exact_size too, where gh_exact returns greedy's bounds
+    with pytest.raises(TypeError, match="node_budget must be an integer"):
+        gh_exact(CHAIN_1, CHAIN_125, max_exact_size=1, node_budget=float("nan"))
 
 
 @pytest.mark.parametrize("seed, xa, xb", [
