@@ -283,6 +283,14 @@ def _check_tol(tol) -> None:
         raise ValueError("tol must not be NaN")
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; a TypeError names the parameter if it is none."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _ordering(n: int, ordering: Sequence[int] | None) -> list[int]:
     """The identity order of n points, or ordering checked to permute them."""
     ordering = list(range(n)) if ordering is None else list(ordering)
@@ -426,22 +434,31 @@ def _indistinguishable(f: np.ndarray, tol: float, d: np.ndarray | None = None):
             yield int(i), int(j), float(gap)
 
 
+def _cones(in_past: np.ndarray, in_fut: np.ndarray):
+    """Every j's past {i : in_past(i,j)} and future {k : in_fut(j,k)}: the
+    flat lists past and fut, sliced per j by the offsets p_at and f_at
+    (past[p_at[j]:p_at[j + 1]]), from one np.flatnonzero per side."""
+    n = max(len(in_fut), 1)
+    past, fut = np.flatnonzero(in_past.T) % n, np.flatnonzero(in_fut) % n
+    p_at = np.cumsum(np.count_nonzero(in_past, axis=0)).tolist()
+    f_at = np.cumsum(np.count_nonzero(in_fut, axis=1)).tolist()
+    return past, [0] + p_at, fut, [0] + f_at
+
+
 def _cone_slacks(f: np.ndarray, pos: np.ndarray):
     """For each j whose past ii = {i : pos(i,j)} and future kk = {k :
     pos(j,k)} are nonempty, (j, ii, kk, s) with s the float slack block
     (f[ii,kk] - f[ii,j]) - f[j,kk]: only these triples can witness a
     reverse-triangle defect at j.  inf - inf gives NaN, as in a loop."""
     n = len(f)
-    # every j's past and future, sliced from one nonzero per side
-    past, fut = np.nonzero(pos.T)[1], np.nonzero(pos)[1]
-    n_past, n_fut = pos.sum(axis=0), pos.sum(axis=1)
-    p_end, f_end = np.cumsum(n_past), np.cumsum(n_fut)
+    past, p_at, fut, f_at = _cones(pos, pos)
     # entries below 2**1023 in magnitude differ without inf - inf or overflow
     quiet = (contextlib.nullcontext if (np.abs(f) < 2.0**1023).all()
              else lambda: np.errstate(invalid="ignore", over="ignore"))
-    for j in np.flatnonzero((n_past > 0) & (n_fut > 0)).tolist():
-        ii = past[p_end[j] - n_past[j]:p_end[j]]
-        kk = fut[f_end[j] - n_fut[j]:f_end[j]]
+    for j in range(n):
+        ii, kk = past[p_at[j]:p_at[j + 1]], fut[f_at[j]:f_at[j + 1]]
+        if not (len(ii) and len(kk)):
+            continue
         s = f.take(ii[:, None] * n + kk)
         with quiet():
             s -= f[ii, j][:, None]
@@ -691,7 +708,9 @@ def _profile_mismatch(da: np.ndarray, db: np.ndarray) -> np.ndarray:
 
 def _isometries(a: Causet, b: Causet, tol: float
                 ) -> Iterator[tuple[int, ...]]:
-    """The bijections of find_isometries, one at a time, in its order."""
+    """The bijections of find_isometries, one at a time, in its order; a
+    NaN tol raises ValueError at the first one asked for."""
+    _check_tol(tol)
     n = a.n
     if b.n != n:
         return
@@ -729,6 +748,6 @@ def find_isometries(a: Causet, b: Causet, tol: float = DEFAULT_TOL
 
     Backtracking search; candidate images are pruned by comparing sorted
     row and column multisets, and points with the fewest candidates are
-    assigned first.
+    assigned first.  A NaN tol raises ValueError.
     """
     return list(_isometries(a, b, tol))

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _PUBLIC
-from .causet import Causet, _check_tol
+from .causet import Causet, _check_tol, _integer
 
 __all__ = list(_PUBLIC["curvature"])
 
@@ -289,7 +289,10 @@ def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
     each side-parameter pair, host points on the two sides are collected;
     with no candidates the check is vacuous.  A lower curvature bound asks
     for some pair with d(p, q) <= model + tol, an upper bound for some
-    pair with d(p, q) >= model - tol.  A NaN tol raises ValueError.
+    pair with d(p, q) >= model - tol.  A NaN tol raises ValueError, as
+    do a negative `seed` or `max_triangles` and a `min_sides` that is not
+    three numbers or holds a NaN; a non-integer `seed` or `max_triangles`
+    is a TypeError.
 
     Hosts of more than 64 points with a `max_triangles` cap are sampled by
     seeded rejection over index triples, within a budget of
@@ -307,9 +310,17 @@ def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
     if bound not in ("lower", "upper"):
         raise ValueError(f"bound must be 'lower' or 'upper', got '{bound}'")
     _check_tol(tol)
-    if max_triangles is not None and max_triangles < 0:
-        raise ValueError(f"max_triangles must be nonnegative, got "
-                         f"{max_triangles}")
+    if max_triangles is not None:
+        max_triangles = _integer(max_triangles, "max_triangles")
+        if max_triangles < 0:
+            raise ValueError(f"max_triangles must be nonnegative, got "
+                             f"{max_triangles}")
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if len(min_sides) != 3 or any(v != v for v in min_sides):
+        raise ValueError(f"min_sides must be three numbers, none NaN, got "
+                         f"{min_sides!r}")
     params = tuple(side_params) if side_params is not None else _DEFAULT_PARAMS
     d = host.as_float()
     n = host.n

@@ -20,7 +20,6 @@ bound alone.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -28,7 +27,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import _PUBLIC
-from .causet import Causet, _isometries, _profile_mismatch
+from .causet import Causet, _integer, _isometries, _profile_mismatch
 
 __all__ = list(_PUBLIC["gh"])
 
@@ -81,14 +80,6 @@ class GHResult:
         if self.exact is not None:
             out["exact"] = self.exact
         return out
-
-
-def _integer(value, name: str) -> int:
-    """value as an int; a TypeError names the parameter if it is none."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _checked(c: Causet, name: str) -> np.ndarray:
@@ -459,7 +450,7 @@ def gh_zero_is_isometry(a: Causet, b: Causet, tol: float = 1e-9) -> bool:
     Both causets must agree on having a boundary point; mixing a space
     that contains its zero-profile point with one that does not is an
     error, and the caller should first apply adjoin_boundary to the
-    smaller space.
+    smaller space.  A NaN tol raises ValueError.
     """
     if (a.boundary is None) != (b.boundary is None):
         raise ValueError(

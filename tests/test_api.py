@@ -4,11 +4,14 @@ Removing or renaming a public name is a deliberate edit of this list,
 recorded in CHANGES.md, never a side effect of a refactor.
 """
 
+import inspect
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import lorentzmet
 
@@ -93,6 +96,31 @@ def test_each_submodule_exports_its_table_entry():
         assert sorted(namespace) == sorted(names), module
         for name, value in namespace.items():
             assert value.__module__ == f"lorentzmet.{module}", name
+
+
+def test_every_public_tol_refuses_nan():
+    # every comparison with NaN is False, so a NaN tol would pass or fail
+    # each check silently; is_maximal said True on the non-additive chain
+    # below, find_isometries found no self-isometry and
+    # gh_zero_is_isometry said False, before they checked tol
+    c = lorentzmet.Causet.from_matrix([[0, 1, 3], [0, 0, 1], [0, 0, 0]])
+    args = {"c": c, "m": c, "host": c, "a": c, "b": c, "points": [0, 1, 2],
+            "chain": [0, 1, 2], "seq": [c, c]}
+    checked = []
+    for name in lorentzmet.__all__:
+        fn = getattr(lorentzmet, name)
+        if not inspect.isfunction(fn):
+            continue
+        params = inspect.signature(fn).parameters
+        if "tol" not in params:
+            continue
+        need = [p for p in params if p != "tol"
+                and params[p].default is inspect.Parameter.empty]
+        with pytest.raises(ValueError, match="NaN"):
+            fn(**{p: args[p] for p in need}, tol=float("nan"))
+        checked.append(name)
+    assert {"is_maximal", "find_isometries", "gh_zero_is_isometry",
+            "causal_relation", "validate"} <= set(checked)
 
 
 SCIPY_FREE = textwrap.dedent("""

@@ -104,6 +104,57 @@ def test_causal_relation_and_is_chain_match_full_comparison():
             assert got == brk if brk else isinstance(got, Chain)
 
 
+def _planted_diamond(case: str) -> np.ndarray:
+    """A diamond sample of 150-300 points as a matrix, with case's entries
+    planted: a negative entry (its row joins every past cone, its column
+    every future cone, so the two block sides cover different pairs),
+    nonzero diagonal entries, or spacelike entries raised to below 1e-12
+    (pairs that are spacelike at tol = 1e-9 then survive the filter)."""
+    rng = np.random.default_rng(len(case))
+    n = {"plain": 150, "negative-row": 200, "diagonal": 250,
+         "perturbed": 300}[case]
+    d = sample_causet(DiamondSpace(), SampleSpec(count=n, seed=n)).d.copy()
+    if case == "negative-row":
+        d[rng.integers(n), rng.integers(n)] = -0.5
+    elif case == "diagonal":
+        k = rng.choice(n, 12, replace=False)
+        d[k, k] = rng.uniform(-0.2, 0.2, 12)
+    elif case == "perturbed":
+        near = (d == 0) & (rng.random(d.shape) < 0.05) & ~np.eye(n, dtype=bool)
+        d[near] = rng.uniform(0, 1e-12, near.sum())
+    return d
+
+
+@pytest.mark.parametrize("case", ["plain", "negative-row", "diagonal",
+                                  "perturbed"])
+def test_causal_relation_and_is_chain_on_planted_diamonds(case):
+    # J's filter, cone blocks and direct tests against the dense per-point
+    # loop at every tolerance; is_chain on random subsets (the first pair
+    # outside J) and on random chains of J
+    d = _planted_diamond(case)
+    c = Causet.from_matrix(d)
+    rng = np.random.default_rng(9)
+    for tol in WILD_TOLS:
+        want = oracle_causal_relation(d, tol)
+        assert causal_relation(c, tol).matrix.tobytes() == want.tobytes()
+        for size in (2, 5, 40):
+            pts = [int(p) for p in rng.choice(c.n, size, replace=False)]
+            brk = _first_break(want, pts)
+            got = is_chain(c, pts, tol)
+            assert got == brk if brk else isinstance(got, Chain)
+        pts = [int(rng.integers(c.n))]
+        while len(pts) < 12:
+            nxt = np.flatnonzero(want[pts].all(axis=0))
+            nxt = nxt[~np.isin(nxt, pts)]
+            if not len(nxt):
+                break
+            pts.append(int(rng.choice(nxt)))
+        got = is_chain(c, pts, tol)
+        assert isinstance(got, Chain) and got.points == tuple(pts)
+        later = np.triu(np.ones((len(pts), len(pts)), dtype=bool), 1)
+        assert got.is_isochronal == (d[np.ix_(pts, pts)] > 0)[later].all()
+
+
 def test_nan_tol_is_rejected():
     for call in (lambda: causal_relation(ADDITIVE3, np.nan),
                  lambda: is_chain(ADDITIVE3, [0, 1], np.nan),

@@ -392,7 +392,8 @@ def test_fuzz_every_causet_reading_subcommand(tmp_path, capsys, payload):
     for argv in (["validate", p], ["gamma", p], ["tau", p],
                  ["net", p, "--eps", "0.1"], ["rationalize", p],
                  ["curvature", p], ["gh", p, p], ["gh", p, p, "--exact"],
-                 ["gh", p, p, "--seed", "-1"], ["limit", p, p]):
+                 ["gh", p, p, "--seed", "-1"], ["curvature", p, "--seed", "-1"],
+                 ["limit", p, p]):
         code = main(argv)
         out, err = capsys.readouterr()
         assert code in ((2,) if payload in MALFORMED else (0, 1, 2)), argv

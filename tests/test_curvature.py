@@ -212,6 +212,30 @@ def test_negative_max_triangles_is_refused_on_both_host_sizes(n):
         check_curvature_bound(host, max_triangles=-1)
 
 
+@pytest.mark.parametrize("n", [40, 100])
+def test_curvature_parameter_errors_name_the_parameter(n):
+    # max_triangles=2.5 returned 179 triangles on 100 points (the sampler's
+    # exit at the cap never fired) and failed inside numpy on 40; seed -1
+    # and 1.5 failed inside numpy; a NaN in min_sides found no triangle
+    host = sample_causet(DiamondSpace(), SampleSpec(count=n, seed=5))
+    for name, value in (("max_triangles", 2.5), ("seed", 1.5),
+                        ("seed", None)):
+        with pytest.raises(TypeError,
+                           match=f"{name} must be an integer, got {value}"):
+            check_curvature_bound(host, **{name: value})
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        check_curvature_bound(host, seed=-1)
+    for sides in ((0.2, np.nan, 0.05), (np.nan,) * 3, (0.2, 0.2),
+                  (0.2, 0.2, 0.05, 0.0)):
+        with pytest.raises(ValueError, match="min_sides must be three "
+                                             "numbers, none NaN"):
+            check_curvature_bound(host, min_sides=sides)
+    # integer-valued numpy scalars are integers
+    report = check_curvature_bound(host, max_triangles=np.int64(5),
+                                   seed=np.uint8(3))
+    assert report.stats["requested"] == 5 == len(report.records)
+
+
 def test_triangle_subsample_is_deterministic():
     host = sample_causet(DiamondSpace(), SampleSpec(count=100, seed=33))
     r1 = check_curvature_bound(host, max_triangles=10, seed=4)

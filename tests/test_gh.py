@@ -216,7 +216,8 @@ def test_gh_zero_is_isometry():
 
 def test_isometries_match_permutation_oracle():
     # permuted copies with one entry nudged, nonzero diagonals included;
-    # a NaN tol admits nothing, two empty causets have the empty bijection
+    # a NaN tol is refused (it used to admit nothing), two empty causets
+    # have the empty bijection
     rng = np.random.default_rng(23)
     for case in range(1200):
         n = int(rng.integers(0, 7))
@@ -227,6 +228,13 @@ def test_isometries_match_permutation_oracle():
             e[rng.integers(n), rng.integers(n)] += rng.choice([1e-10, 0.2, 0.5])
         tol = (1e-9, 0.0, 0.3, float("nan"))[case % 4]
         a, b = Causet.from_matrix(d), Causet.from_matrix(e)
+        if tol != tol:
+            with pytest.raises(ValueError, match="NaN"):
+                find_isometries(a, b, tol)
+            if (a.boundary is None) == (b.boundary is None):
+                with pytest.raises(ValueError, match="NaN"):
+                    gh_zero_is_isometry(a, b, tol)
+            continue
         got = find_isometries(a, b, tol)
         assert sorted(got) == oracle_isometries(a, b, tol)
         assert len(set(got)) == len(got)
