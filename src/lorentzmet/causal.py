@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence, Union
 
 import numpy as np
@@ -65,9 +66,10 @@ def _in_j(d: np.ndarray, x: np.ndarray, y: np.ndarray, tol: float
 
 
 def _block_tests(d: np.ndarray, in_past: np.ndarray, in_fut: np.ndarray,
-                 tol: float) -> np.ndarray:
+                 tol: float, clean: np.ndarray | None = None) -> np.ndarray:
     """Mask of the pairs (x, y) in J among those with x in past(y) and y
-    in fut(x), from one block d[past(j), fut(j)] per pivot j."""
+    in fut(x), from one block d[past(j), fut(j)] per pivot j; a pivot
+    marked clean (see causal_relation) reads row and column j only."""
     n = len(d)
     past, p_at, fut, f_at = _cones(in_past, in_fut)
     # flat positions of the cone pairs (i, j), i in past(j), and (j, k),
@@ -76,9 +78,16 @@ def _block_tests(d: np.ndarray, in_past: np.ndarray, in_fut: np.ndarray,
     at_p = rows + np.repeat(np.arange(n), np.diff(p_at))
     at_f = np.repeat(np.arange(n) * n, np.diff(f_at)) + fut
     p_thr, f_thr = d.take(at_p) - tol, d.take(at_f) - tol
-    past_ok = np.empty(len(fut), dtype=bool)  # the past test of (j, k)
-    fut_ok = np.empty(len(past), dtype=bool)  # the future test of (i, j)
-    for p0, p1, f0, f1 in zip(p_at, p_at[1:], f_at, f_at[1:]):
+    # the past test of each (j, k), the future test of each (i, j)
+    past_ok, fut_ok = np.empty(len(fut), bool), np.empty(len(past), bool)
+    if clean is not None:  # d(j, k) and d(i, j) against fl(d(j, j) - tol)
+        top = np.diagonal(d) - tol
+        np.greater_equal(d.take(at_f), np.repeat(top, np.diff(f_at)),
+                         out=past_ok)
+        np.greater_equal(d.take(at_p), np.repeat(top, np.diff(p_at)),
+                         out=fut_ok)
+    spans = zip(p_at, p_at[1:], f_at, f_at[1:])
+    for p0, p1, f0, f1 in spans if clean is None else compress(spans, ~clean):
         b = d.take(rows[p0:p1, None] + fut[f0:f1])
         (b >= p_thr[p0:p1, None]).all(axis=0, out=past_ok[f0:f1])
         (b >= f_thr[f0:f1]).all(axis=1, out=fut_ok[p0:p1])
@@ -114,6 +123,14 @@ def causal_relation(c: Causet, tol: float = 0.0) -> CausalRelation:
       past(y) are in no block for one of the tests, so they get both
       tests directly, over every p.
 
+    A pivot j skips its block when it is clean: tol >= 0, d has no
+    negative entry, and the slack floor that `validate` (or
+    `reverse_triangle_slack`) has cached for j is at least the image's
+    error bound E.  Then d(i, k) > d(i, j) + d(j, k) exactly for all i,
+    k in j's strict cones, so every block entry off row and column j
+    passes both tests, and the block reduces to row and column j against
+    fl(d(j, j) - tol).  Floors are only read, never computed here.
+
     A NaN tol raises ValueError.
     """
     _check_tol(tol)
@@ -126,7 +143,10 @@ def causal_relation(c: Causet, tol: float = 0.0) -> CausalRelation:
     neg, eye = d < 0, np.eye(n, dtype=bool)
     in_past = over | neg.any(axis=1)[:, None] | eye  # x in past(y) at [x, y]
     in_fut = over | neg.any(axis=0) | eye            # y in fut(x) at [x, y]
-    j = _block_tests(d, in_past, in_fut, tol)
+    floors = c._floors(walk=False)
+    clean = None if floors is None or not tol >= 0 or neg.any() \
+        else floors >= c._image[1]
+    j = _block_tests(d, in_past, in_fut, tol, clean)
     x, y = np.divmod(np.flatnonzero(maybe & ~(in_past & in_fut)), max(n, 1))
     j[x, y] = _in_j(d, x, y, tol)
     return CausalRelation(j)

@@ -123,6 +123,16 @@ class Causet:
         """d > 0, read from the exact sign pattern on a Fraction payload."""
         return self._image[2] > 0 if self.is_rational else self.d > 0
 
+    def _floors(self, walk: bool = True) -> np.ndarray | None:
+        """Each point's slack floor (`_slack_floors` of the image and
+        `_positive`), read-only and cached by the first call that walks;
+        None before it when not walk."""
+        if walk and "_floor_cache" not in self.__dict__:
+            floors = _slack_floors(self._image[0], self._positive())
+            floors.flags.writeable = False
+            self.__dict__["_floor_cache"] = floors
+        return self.__dict__.get("_floor_cache")
+
     def as_float(self) -> np.ndarray:
         """d in float64, computed once and read-only (d itself for a float
         payload); a ValueError names the first entry (i, j) with no finite
@@ -445,17 +455,20 @@ def _cones(in_past: np.ndarray, in_fut: np.ndarray):
     return past, [0] + p_at, fut, [0] + f_at
 
 
-def _cone_slacks(f: np.ndarray, pos: np.ndarray):
-    """For each j whose past ii = {i : pos(i,j)} and future kk = {k :
-    pos(j,k)} are nonempty, (j, ii, kk, s) with s the float slack block
-    (f[ii,kk] - f[ii,j]) - f[j,kk]: only these triples can witness a
-    reverse-triangle defect at j.  inf - inf gives NaN, as in a loop."""
+def _cone_slacks(f: np.ndarray, pos: np.ndarray,
+                 only: Iterable[int] | None = None):
+    """For each j (of only, if given) whose past ii = {i : pos(i,j)} and
+    future kk = {k : pos(j,k)} are nonempty, (j, ii, kk, s) with s the
+    float slack block (f[ii,kk] - f[ii,j]) - f[j,kk]: only these triples
+    can witness a reverse-triangle defect at j.  inf - inf gives NaN, as
+    in a loop."""
     n = len(f)
+    only = range(n) if only is None else [int(j) for j in only]
     past, p_at, fut, f_at = _cones(pos, pos)
     # entries below 2**1023 in magnitude differ without inf - inf or overflow
     quiet = (contextlib.nullcontext if (np.abs(f) < 2.0**1023).all()
              else lambda: np.errstate(invalid="ignore", over="ignore"))
-    for j in range(n):
+    for j in only:
         ii, kk = past[p_at[j]:p_at[j + 1]], fut[f_at[j]:f_at[j + 1]]
         if not (len(ii) and len(kk)):
             continue
@@ -466,12 +479,36 @@ def _cone_slacks(f: np.ndarray, pos: np.ndarray):
         yield j, ii, kk, s
 
 
+def _slack_floors(f: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Each point j's slack floor: the least entry of its `_cone_slacks`
+    block, -inf if the block holds a NaN or +-inf, +inf if it is empty."""
+    out = np.full(len(f), np.inf)
+    # entries below 2**1021 in magnitude give finite slacks: no max needed
+    finite = max(f.max(initial=0.0), -f.min(initial=0.0)) < 2.0**1021
+    for j, _, _, s in _cone_slacks(f, pos):
+        lo = s.min()
+        out[j] = lo if finite or -np.inf < lo and s.max() < np.inf \
+            else -np.inf
+    return out
+
+
 def _magnitude(v) -> float:
     """v as a float, +-inf for a Fraction past the float64 range."""
     try:
         return float(v)
     except OverflowError:
         return np.inf if v > 0 else -np.inf
+
+
+def _defect(d: np.ndarray, i: int, j: int, k: int) -> float:
+    """d(i,j) + d(j,k) - d(i,k) as a float, correctly rounded also where
+    the float sum of three finite entries overflows."""
+    ij, jk, ik = d[i, j], d[j, k], d[i, k]
+    v = _magnitude(ij + jk - ik)
+    if v in (np.inf, -np.inf) and d.dtype != object \
+            and np.isfinite((ij, jk, ik)).all():
+        v = _magnitude(Fraction(ij) + Fraction(jk) - Fraction(ik))
+    return v
 
 
 def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -482,14 +519,21 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
     and |entry| <= tol counts as zero for boundary detection.  Exact
     payloads ignore tol; a NaN tol raises ValueError.
 
-    The reverse-triangle pass visits for each j only its past x future;
-    the distinguishing pass measures in full only the pairs within tol on
-    a first block of coordinates.  The report is that of the full O(n^3)
-    comparisons.  Fraction payloads are exact: float64 filter, exact
-    refinement, each flagged defect decided exactly.  Their signs (negative
-    entries, diagonal, light cones, zero rows) are read from the float
-    image cached with the causet, and decided exactly only where a nonzero
-    entry underflows to +-0.0 (_signed_image).
+    The reverse-triangle pass visits for each j only its past x future,
+    once, for j's slack floor: the least float slack (f_ik - f_ij) - f_jk
+    over that block (-inf if the block holds a NaN or +-inf, +inf if it is
+    empty).  Only a block whose floor is below the threshold is gathered
+    again for its defects.  On a Causet the floors are cached, shared with
+    `reverse_triangle_slack` and read by `causal_relation`.  The
+    distinguishing pass measures in full only the pairs within tol on a
+    first block of coordinates.  The report is that of the full O(n^3)
+    comparisons.
+    Fraction payloads are exact: float64 filter, exact refinement, each
+    flagged defect decided exactly.  Their signs (negative entries,
+    diagonal, light cones, zero rows) are read from the float image
+    cached with the causet, and decided exactly only where a nonzero entry
+    underflows to +-0.0 (_signed_image).  A defect's magnitude is correctly
+    rounded, also where the float sum of three finite entries overflows.
     """
     _check_tol(tol)
     d = c.d if isinstance(c, Causet) else _as_matrix(c)
@@ -513,17 +557,19 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
         # (u = 2**-53), the image by 3 u M; E = 32 u M + 2**-1060 and
         # 4 u |tol| cover them, with a sign that keeps inf - inf out.
         thr = err - tol * (1 - np.copysign(4 * 2.0**-53, tol))
-        for j, ii, kk, slack in _cone_slacks(f, s > 0):
-            # NaN fails >=, so only a finite block at or above thr is skipped
-            if slack.min() >= thr and slack.max() < np.inf:
-                continue
+        # only a block whose floor (cached on a causet) is below thr can
+        # hold a defect
+        floors = c._floors() if isinstance(c, Causet) \
+            else _slack_floors(f, s > 0)
+        bad = np.flatnonzero(~(floors >= thr))
+        for j, ii, kk, slack in _cone_slacks(f, s > 0, bad) if len(bad) \
+                else ():
             for p, q in zip(*np.nonzero((slack < thr)
                                         | ~np.isfinite(slack))):
                 i, k = int(ii[p]), int(kk[q])
                 if d[i, k] < d[i, j] + d[j, k] - tol:
                     out.append(Violation("reverse-triangle", (i, j, k),
-                                         _magnitude(d[i, j] + d[j, k]
-                                                    - d[i, k])))
+                                         _defect(d, i, j, k)))
 
         for i, j, gap in _indistinguishable(f, tol, d if exact else None):
             out.append(Violation("distinguishing", (i, j), gap))
@@ -541,47 +587,28 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
 
 
 def _min_slack(d: np.ndarray, pos: np.ndarray, f: np.ndarray | None = None,
-               err: float = 0.0) -> float | Fraction:
+               err: float = 0.0, floors: np.ndarray | None = None
+               ) -> float | Fraction:
     """Minimum of d(i,k) - d(i,j) - d(j,k) over pos(i,j), pos(j,k); +inf if
     no triple applies.  Computes exactly only the slacks whose float value
     (d_ik - d_ij) - d_jk, on the float image f (d itself by default) with
     bound err, is within 2 err of the least one, or not finite.
 
-    One pass over the cone slack blocks (`_cone_slacks`) keeps, with
-    their float values, the entries within 2 err of the least float value
-    so far, or not finite; those at or below the final threshold are then
-    computed exactly.  Past n^2 kept entries, those at or below the
-    running threshold are computed at once, so memory stays O(n^2); an
-    entry computed early whose float value ends above the final threshold
-    is exactly above the minimum, so it never changes the result.
+    The least finite floor (`_slack_floors` of f and pos, unless given)
+    sets that threshold; only the blocks whose floor is within it or -inf
+    are walked again, one at a time, so memory stays O(n^2).
     """
     f = d if f is None else f
-    n = d.shape[0]
-    low = np.inf  # least finite float slack so far
+    floors = _slack_floors(f, pos) if floors is None else floors
+    thr = floors[np.isfinite(floors)].min(initial=np.inf) + 2 * err
     best = None
-    kept: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def refine(thr: float) -> None:
-        nonlocal best
-        for j, i, k, s in kept:
-            near = (s <= thr) | ~np.isfinite(s)
-            for a, b in zip(i[near], k[near]):
-                v = d[a, b] - d[a, j] - d[j, b]
-                if best is None or v < best:
-                    best = v
-        kept.clear()
-
-    size = 0
-    for j, ii, kk, s in _cone_slacks(f, pos):
-        fin = np.isfinite(s)
-        low = min(low, s.min(where=fin, initial=np.inf))
-        p, q = np.nonzero((s <= low + 2 * err) | ~fin)
-        kept.append((j, ii[p], kk[q], s[p, q]))
-        size += len(p)
-        if size > n * n:
-            refine(low + 2 * err)
-            size = 0
-    refine(low + 2 * err)
+    for j, ii, kk, s in _cone_slacks(f, pos, np.flatnonzero(floors <= thr)):
+        p, q = np.nonzero((s <= thr) | ~np.isfinite(s))
+        a, b = ii[p], kk[q]
+        with np.errstate(invalid="ignore", over="ignore"):  # as in a loop
+            v = (d[a, b] - d[a, j] - d[j, b]).min()
+        if best is None or v < best:
+            best = v
     return float("inf") if best is None else best
 
 
@@ -591,10 +618,12 @@ def reverse_triangle_slack(c: Causet) -> float | Fraction:
     Positive slack means every reverse-triangle inequality holds strictly;
     returns +inf when no triple applies.  Rational payloads are exact:
     float64 filter, exact refinement; float ones go through as_float.
+    The filter is the causet's cached slack floors (see validate), filled
+    here by one cone walk if no walk has run; only the points whose floor
+    is -inf or within 2 E of the least one get their blocks walked again.
     """
-    if c.is_rational:
-        return _min_slack(c.d, c._positive(), *c._image[:2])
-    return _min_slack(c.as_float(), c.d > 0)
+    f, err = c._image[:2] if c.is_rational else (c.as_float(), 0.0)
+    return _min_slack(c.d, c._positive(), f, err, c._floors())
 
 
 def chronological_relation(c: Causet) -> set[tuple[int, int]]:

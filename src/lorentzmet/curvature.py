@@ -350,8 +350,13 @@ def check_curvature_bound(host: Causet, k: float = 0.0, bound: str = "lower",
             attempts += m
             draws = rng.integers(0, n, size=(m, 3))
             x, y, z = draws.T
-            ok = _qualifying(d[x, y], d[y, z], d[x, z], min_sides)
-            for row in np.flatnonzero(ok):
+            # sides b and c only for the draws whose side a can qualify
+            a = d.take(x * n + y)
+            live = np.flatnonzero((a > 0) & (a >= min_sides[0]))
+            x, y, z = x[live], y[live], z[live]
+            ok = _qualifying(a[live], d.take(y * n + z), d.take(x * n + z),
+                             min_sides)
+            for row in live[ok]:
                 key = tuple(int(v) for v in draws[row])
                 if key in seen:
                     continue

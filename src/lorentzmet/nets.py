@@ -195,15 +195,20 @@ def _min_gamma(d: np.ndarray, f: np.ndarray, err: float):
 def _link_counts(pos: np.ndarray) -> np.ndarray:
     """t[i][j]: maximal number of links of a chronological chain i -> j.
 
-    Max-plus closure, one step per k over the chains through k only (the
-    rows of its past x the columns of its future); row and column k stay
-    fixed at step k, since a causet's pos is acyclic.
+    t[i][j] is the largest L with (pos^L)[i, j] > 0, the powers taken as
+    0/1 float32 matrices (counts below 2**24, so exact); pos need not be
+    transitive.  A nonzero n-th power holds a cycle: ValueError.
     """
-    t = pos.astype(np.int64)
-    for k in range(len(t)):
-        via = np.ix_(np.flatnonzero(t[:, k]), np.flatnonzero(t[k]))
-        t[via] = np.maximum(t[via], t[via[0], k] + t[k, via[1]])
-    return t
+    one = pos.astype(np.float32)
+    t, walk, links = pos.astype(np.int64), one, 1
+    while True:
+        walk = ((walk @ one) > 0).astype(np.float32)
+        links += 1
+        if not walk.any():
+            return t
+        if links >= len(pos):
+            raise ValueError("input causet has a chronological cycle")
+        t[walk > 0] = links
 
 
 def _numerators(c: Causet) -> tuple[np.ndarray, int]:
@@ -260,8 +265,6 @@ def rationalize(c: Causet, eps: float) -> Causet:
     pair_budget = Fraction(n * (n - 1), 2) ** 2
     delta = min(alpha / 4, eps_f / 2) / pair_budget
     t = _link_counts(pos)
-    if np.diag(t).any():
-        raise ValueError("input causet has a chronological cycle")
     # stage one, d1 = x1 / q1 over q1 = lcm(q, den(delta))
     q1 = math.lcm(q, delta.denominator)
     x1 = x * (q1 // q)

@@ -619,6 +619,15 @@ def oracle_cone_slacks(f: np.ndarray, pos: np.ndarray):
             yield j, ii, kk, s
 
 
+def oracle_cone_floors(f: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Each j's least slack over its oracle_cone_slacks block: -inf when
+    the block holds a NaN or +-inf, +inf when j has no block."""
+    out = np.full(len(f), np.inf)
+    for j, _, _, s in oracle_cone_slacks(f, pos):
+        out[j] = min(s.flat) if np.isfinite(s).all() else -np.inf
+    return out
+
+
 def oracle_slack(d: np.ndarray):
     """min d(i,k) - d(i,j) - d(j,k) over d(i,j), d(j,k) > 0; None if none."""
     n = d.shape[0]

@@ -7,6 +7,7 @@ from fractions import Fraction
 from lorentzmet import (
     Causet,
     causal_relation,
+    reverse_triangle_slack,
     chain_length,
     gamma,
     is_chain,
@@ -14,11 +15,12 @@ from lorentzmet import (
     longest_chain,
     rationalize,
     time_function,
+    validate,
 )
 from lorentzmet.causal import Chain
 from lorentzmet.diamond import (DiamondSpace, SampleSpec, causet_from_points,
                                  diamond_distance, sample_causet)
-from helpers import (first_non_finite, oracle_causal_relation,
+from helpers import (first_non_finite, make_corpus, oracle_causal_relation,
                      oracle_tau_base, random_fraction_matrix,
                      random_valid_matrix, tame, underflow_payload,
                      wild_matrix)
@@ -102,6 +104,49 @@ def test_causal_relation_and_is_chain_match_full_comparison():
             got = is_chain(c, pts, tol)
             brk = _first_break(want, pts)
             assert got == brk if brk else isinstance(got, Chain)
+
+
+def test_causal_relation_same_with_and_without_cached_floors():
+    # J skips the block of a pivot whose cached floor is at least E; J
+    # itself never walks the cones.  Bit for bit the dense loop's J, on a
+    # fresh causet, after validate and after reverse_triangle_slack
+    rng = np.random.default_rng(41)
+    cases = [c.d for c in make_corpus(count=40)]
+    cases += [tame(wild_matrix(rng, int(rng.integers(1, 12))))
+              for _ in range(60)]
+    cases += [sample_causet(DiamondSpace(), SampleSpec(count=n, seed=n)).d
+              for n in (5, 12, 30, 80)]
+    cases.append(ADDITIVE3.d)  # floor 0, below E: its block is walked
+    cases += [random_fraction_matrix(rng, int(rng.integers(1, 9)))
+              for _ in range(40)]
+    cases.append(underflow_payload())
+    skipped = 0
+    for d in cases:
+        labels = tuple(map(str, range(len(d))))
+        image = Causet(labels, d)._image[0]
+        for tol in (-0.1, 0.0, 1e-9, 0.3):
+            want = None
+            if np.isfinite(image).all():
+                want = oracle_causal_relation(image, tol).tobytes()
+            for warm_up in (None, validate, reverse_triangle_slack):
+                c = Causet(labels, d)
+                if warm_up is not None:
+                    try:
+                        warm_up(c)
+                    except ValueError:  # the slack of a non-finite payload
+                        pass
+                if want is None:
+                    with pytest.raises(ValueError, match="finite"):
+                        causal_relation(c, tol)
+                    continue
+                got = causal_relation(c, tol).matrix.tobytes()
+                assert got == want
+                floors = c._floors(walk=False)
+                if warm_up is None:
+                    assert floors is None
+                elif tol >= 0 and not (image < 0).any():
+                    skipped += int((floors >= c._image[1]).sum())
+    assert skipped > 0
 
 
 def _planted_diamond(case: str) -> np.ndarray:

@@ -27,10 +27,11 @@ from lorentzmet.causet import (DEFAULT_TOL, TWIN_BLOCK, BoundaryError,
                                _cone_slacks, _sum_window, _twins)
 from lorentzmet.diamond import (DiamondSpace, SampleSpec, diamond_distance,
                                 sample_causet)
-from helpers import (corrupt, make_corpus, nan_gaps, oracle_cone_slacks,
-                     oracle_distinguishing, oracle_quotient_map, oracle_slack, oracle_twins,
+from helpers import (corrupt, make_corpus, nan_gaps, oracle_cone_floors,
+                     oracle_cone_slacks, oracle_distinguishing,
+                     oracle_quotient_map, oracle_slack, oracle_twins,
                      oracle_validate_exact, oracle_violations,
-                     random_fraction_matrix, random_valid_matrix,
+                     random_fraction_matrix, random_valid_matrix, tame,
                      underflow_payload, wild_matrix)
 
 
@@ -462,8 +463,8 @@ def test_float_slack_is_the_loop_value():
 
 
 def test_slack_when_every_triple_ties_at_the_float_minimum():
-    # a chain d(i, k) = k - i ties every slack at 0, so every triple stays
-    # near the running minimum: past n^2 of them they are refined early,
+    # a chain d(i, k) = k - i ties every slack at 0, so every block's
+    # floor is the minimum: every block is walked again, one at a time,
     # and memory stays O(n^2)
     n = 100
     idx = np.arange(n, dtype=float)
@@ -483,6 +484,88 @@ def test_slack_when_every_triple_ties_at_the_float_minimum():
     got = reverse_triangle_slack(Causet.from_matrix(d))
     assert got == oracle_slack(d) == Fraction(-1, 10**30)
     assert type(got) is Fraction
+
+
+def _floor_inputs():
+    """Payloads for the cached slack floors: the corpus, wild matrices raw
+    and tamed (NaN, +-inf, negative entries, nonzero diagonals), diamond
+    samples, an exactly collinear chain (floor 0, below E), random Fraction
+    matrices and the underflow payload."""
+    rng = np.random.default_rng(27)
+    yield from (c.d for c in make_corpus(count=40))
+    for _ in range(40):
+        wild = wild_matrix(rng, int(rng.integers(1, 12)))
+        yield wild
+        yield tame(wild)
+    for n in (5, 20, 80):
+        yield sample_causet(DiamondSpace(), SampleSpec(count=n, seed=n)).d
+    yield np.array(CHAIN3)
+    for _ in range(30):
+        yield random_fraction_matrix(rng, int(rng.integers(1, 9)))
+    yield underflow_payload()
+
+
+def _fresh(d):
+    return Causet(tuple(map(str, range(len(d)))), d)
+
+
+def test_cached_floors_match_oracle():
+    # each point's least cone slack, -inf for a block with a NaN or +-inf
+    # slack, +inf without a block: the same whether validate's walk or a
+    # direct one filled the cache, and read-only
+    minus_inf = 0
+    for d in _floor_inputs():
+        c = _fresh(d)
+        want = oracle_cone_floors(c._image[0], c._positive())
+        assert c._floors(walk=False) is None
+        validate(c)
+        got = c._floors(walk=False)
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0:1] = 0.0
+        assert c._floors().tobytes() == want.tobytes()
+        assert _fresh(d)._floors().tobytes() == want.tobytes()
+        minus_inf += np.isneginf(want).any()
+    assert minus_inf > 0
+
+
+def _slack_or_error(c):
+    try:
+        return reverse_triangle_slack(c)
+    except (ValueError, OverflowError) as e:  # a non-finite float payload
+        return type(e)
+
+
+def test_validate_and_slack_same_on_fresh_and_warm_causets():
+    # validate after a walk reads the cached floors and walks only the
+    # blocks below its threshold; the slack reads them or fills them
+    for d in _floor_inputs():
+        tols = WALK_TOLS if d.dtype != object else (DEFAULT_TOL,)
+        want = {tol: repr(validate(_fresh(d), tol)) for tol in tols}
+        slack = _slack_or_error(_fresh(d))
+        for warm_up in (lambda c: validate(c, tols[-1]), _slack_or_error):
+            warm = _fresh(d)
+            warm_up(warm)
+            got = _slack_or_error(warm)
+            assert got == slack and type(got) is type(slack)
+            for tol in tols:
+                assert repr(validate(warm, tol)) == want[tol]
+
+
+def test_validate_magnitude_of_a_finite_defect_past_the_float_sum():
+    # 1e308 + 1e308 overflows, but the defect 2e308 - 1.7e308 is finite:
+    # the correctly rounded exact value, as reverse_triangle_slack negates
+    d = [[0, 1e308, 1.7e308], [0, 0, 1e308], [0, 0, 0]]
+    (v,) = validate(d).violations
+    want = float(2 * Fraction(1e308) - Fraction(1.7e308))
+    assert v.witness == (0, 1, 2) and v.magnitude == want
+    assert reverse_triangle_slack(Causet.from_matrix(d)) == -want
+    # an exact defect past the float range stays +inf
+    d[0][2] = -1.7e308
+    rep = validate(d)
+    assert [(v.kind, v.magnitude) for v in rep.violations] == [
+        ("negative-entry", -1.7e308), ("reverse-triangle", np.inf)]
 
 
 def test_reverse_triangle_slack():

@@ -61,6 +61,19 @@ def test_validate_reports_violations_with_exit_zero(tmp_path, capsys):
                for v in blob["violations"])
 
 
+def test_validate_reports_a_finite_magnitude_past_the_float_sum(tmp_path,
+                                                                capsys):
+    # 1e308 + 1e308 - 1.7e308 overflows in floats; the exact defect does
+    # not, so the JSON carries its value, not null
+    big = Causet.from_matrix([[0, 1e308, 1.7e308], [0, 0, 1e308], [0, 0, 0]])
+    path = write_causet(tmp_path, big, "big.json")
+    assert main(["validate", path]) == 0
+    blob = strict_json(capsys.readouterr().out)
+    assert blob["violations"] == [{"kind": "reverse-triangle",
+                                   "witness": [0, 1, 2],
+                                   "magnitude": 3.000000000000001e+307}]
+
+
 def test_validate_reads_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(CHAIN.to_json())))
     assert run_json(capsys, ["validate", "-"]) == {"valid": True}

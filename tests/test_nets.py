@@ -268,6 +268,33 @@ def test_exact_kernels_match_oracles():
         assert (_link_counts(pos) == oracle_link_counts(pos)).all()
 
 
+def test_link_counts_by_matrix_powers_match_oracle():
+    # the last power with a path, never a sum: diamond samples, total
+    # chains, one-link chains (not transitive), antichains, n = 0-2,
+    # random DAGs that are not transitively closed
+    rng = np.random.default_rng(43)
+    cases = [sample_causet(DiamondSpace(), SampleSpec(count=n, seed=n)).d > 0
+             for n in (1, 2, 5, 10, 25, 40, 90)]
+    for n in range(6):
+        cases += [np.triu(np.ones((n, n), dtype=bool), 1),
+                  np.eye(n, k=1, dtype=bool), np.zeros((n, n), dtype=bool)]
+    for _ in range(20):
+        n = int(rng.integers(2, 16))
+        perm = rng.permutation(n)
+        dag = np.triu(rng.random((n, n)) < 0.3, 1)
+        cases.append(dag[np.ix_(perm, perm)])
+    for pos in cases:
+        got = _link_counts(pos)
+        assert got.dtype == np.int64
+        assert (got == oracle_link_counts(pos)).all()
+    # a cycle, planted in a chain or a loop of one point, has walks of
+    # every length: refused after n powers
+    for pos in (np.eye(5, k=1, dtype=bool), np.eye(1, dtype=bool)):
+        pos[-1, 0] = True
+        with pytest.raises(ValueError, match="chronological cycle"):
+            _link_counts(pos)
+
+
 def test_min_gamma_when_float_order_differs():
     d = np.full((6, 6), Fraction(0), dtype=object)
     # exact gamma(0, 1) = 11/10 < gamma(2, 3) = 6/5, but the float image
