@@ -7,9 +7,9 @@ J = {(x, y) : d(p, y) >= d(p, x) and d(x, p) >= d(y, p) for every p}
 is a reflexive partial order containing the chronological relation
 I = {d > 0}, and composing the two lands back in I.  It is computed
 exactly: a 0/1 matrix-product filter drops the pairs that the sign
-pattern of d rules out, one gathered block of light-cone entries per
-point answers both profile tests for every pair in that point's cones,
-and the few pairs left get both tests directly.  Weighted sums of
+pattern of d rules out, the causet's cached slack floors put in J every
+light-cone pair of two points whose reverse triangle inequalities hold
+strictly, and the few pairs left get both tests directly.  Weighted sums of
 distance profiles give time functions: 1-Lipschitz with respect to the
 distinction metric and strictly increasing along strict J.
 """
@@ -19,13 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Sequence, Union
 
 import numpy as np
 
 from . import _PUBLIC
-from .causet import Causet, _check_tol, _cones, _ordering, _points
+from .causet import Causet, _check_tol, _ordering, _points
 
 __all__ = list(_PUBLIC["causal"])
 
@@ -65,71 +64,30 @@ def _in_j(d: np.ndarray, x: np.ndarray, y: np.ndarray, tol: float
         for s in range(0, len(x), step)])
 
 
-def _block_tests(d: np.ndarray, in_past: np.ndarray, in_fut: np.ndarray,
-                 tol: float, clean: np.ndarray | None = None) -> np.ndarray:
-    """Mask of the pairs (x, y) in J among those with x in past(y) and y
-    in fut(x), from one block d[past(j), fut(j)] per pivot j; a pivot
-    marked clean (see causal_relation) reads row and column j only."""
-    n = len(d)
-    past, p_at, fut, f_at = _cones(in_past, in_fut)
-    # flat positions of the cone pairs (i, j), i in past(j), and (j, k),
-    # k in fut(j), each list in pivot order
-    rows = past * n
-    at_p = rows + np.repeat(np.arange(n), np.diff(p_at))
-    at_f = np.repeat(np.arange(n) * n, np.diff(f_at)) + fut
-    p_thr, f_thr = d.take(at_p) - tol, d.take(at_f) - tol
-    # the past test of each (j, k), the future test of each (i, j)
-    past_ok, fut_ok = np.empty(len(fut), bool), np.empty(len(past), bool)
-    if clean is not None:  # d(j, k) and d(i, j) against fl(d(j, j) - tol)
-        top = np.diagonal(d) - tol
-        np.greater_equal(d.take(at_f), np.repeat(top, np.diff(f_at)),
-                         out=past_ok)
-        np.greater_equal(d.take(at_p), np.repeat(top, np.diff(p_at)),
-                         out=fut_ok)
-    spans = zip(p_at, p_at[1:], f_at, f_at[1:])
-    for p0, p1, f0, f1 in spans if clean is None else compress(spans, ~clean):
-        b = d.take(rows[p0:p1, None] + fut[f0:f1])
-        (b >= p_thr[p0:p1, None]).all(axis=0, out=past_ok[f0:f1])
-        (b >= f_thr[f0:f1]).all(axis=1, out=fut_ok[p0:p1])
-    j, both = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
-    j.put(at_f, past_ok)
-    both.put(at_p, fut_ok)
-    return j & both
-
-
 def causal_relation(c: Causet, tol: float = 0.0) -> CausalRelation:
     """Compute J by comparing distance profiles pointwise, within tol.
 
     x <= y holds when d(p, y) >= d(p, x) - tol (the past test) and
     d(x, p) >= d(y, p) - tol (the future test) for every p, each side
     rounded as written.  J is that of the full O(n^3) comparison, bit for
-    bit, found in three stages:
+    bit, found in two stages:
 
     - A filter.  Where d(p, x) > tol, the past test needs d(p, y) >=
       fl(d(p, x) - tol) > 0; where d(y, p) > tol, the future test needs
       d(x, p) > 0.  Two 0/1 matrix products count the p breaking either
       rule; a pair with a nonzero count is not in J.  The counts are
       integers below 2**24 in float32, so they are exact in any order.
-    - Pivot blocks.  A p with d(p, x) <= tol and a nonnegative row passes
-      the past test of (x, y) for every y, so only the past cone
-      past(x) = {p : d(p, x) > tol, or row p holds a negative entry} + {x}
-      needs testing; likewise the future cone fut(y) for the future test.
-      (Testing more p, such as x itself, never changes the answer; x puts
-      the pair (x, x) in the blocks.)  For each j one block
-      d[past(j), fut(j)] holds the past test of (j, k) for every k in
-      fut(j) in its columns, and the future test of (i, j) for every i in
-      past(j) in its rows.
-    - The rest.  The filter's survivors with y outside fut(x) or x outside
-      past(y) are in no block for one of the tests, so they get both
-      tests directly, over every p.
-
-    A pivot j skips its block when it is clean: tol >= 0, d has no
-    negative entry, and the slack floor that `validate` (or
-    `reverse_triangle_slack`) has cached for j is at least the image's
-    error bound E.  Then d(i, k) > d(i, j) + d(j, k) exactly for all i,
-    k in j's strict cones, so every block entry off row and column j
-    passes both tests, and the block reduces to row and column j against
-    fl(d(j, j) - tol).  Floors are only read, never computed here.
+    - Clean cone pairs, or the direct test.  At tol >= 0, J reads the
+      causet's slack floors (see `validate`), filling them by one cone
+      walk if no call has yet, and calls a point clean when its floor is
+      at least the image's error bound E and its row and column hold no
+      negative entry.  A pair (x, y) with both ends clean and d(x, y) >
+      tol, or x = y, is in J.  In the past test a p with d(p, x) <= tol
+      has fl(d(p, x) - tol) <= 0 <= d(p, y); any other p is in x's strict
+      past and y in its strict future, so x's floor gives
+      fl(d(p, y) - d(p, x)) > d(x, y) > 0.  The future test holds likewise
+      through y's floor and x's row, and x = y passes both.  Every other
+      pair the filter leaves gets both tests directly, over every p.
 
     A NaN tol raises ValueError.
     """
@@ -139,15 +97,14 @@ def causal_relation(c: Causet, tol: float = 0.0) -> CausalRelation:
     over = d > tol
     a, z = over.astype(np.float32), (d <= 0).astype(np.float32)
     maybe = (a.T @ z == 0) & (z @ a.T == 0)
-    del a, z  # so that they are not held through the blocks
-    neg, eye = d < 0, np.eye(n, dtype=bool)
-    in_past = over | neg.any(axis=1)[:, None] | eye  # x in past(y) at [x, y]
-    in_fut = over | neg.any(axis=0) | eye            # y in fut(x) at [x, y]
-    floors = c._floors(walk=False)
-    clean = None if floors is None or not tol >= 0 or neg.any() \
-        else floors >= c._image[1]
-    j = _block_tests(d, in_past, in_fut, tol, clean)
-    x, y = np.divmod(np.flatnonzero(maybe & ~(in_past & in_fut)), max(n, 1))
+    del a, z  # so that they are not held through the floor walk
+    clean = np.zeros(n, dtype=bool)  # no point is clean at tol < 0
+    if tol >= 0:
+        neg = d < 0
+        clean = (c._floors() >= c._image[1]) & ~neg.any(axis=0) \
+            & ~neg.any(axis=1)
+    j = (over | np.eye(n, dtype=bool)) & clean & clean[:, None]
+    x, y = np.divmod(np.flatnonzero(maybe & ~j), max(n, 1))
     j[x, y] = _in_j(d, x, y, tol)
     return CausalRelation(j)
 

@@ -123,15 +123,14 @@ class Causet:
         """d > 0, read from the exact sign pattern on a Fraction payload."""
         return self._image[2] > 0 if self.is_rational else self.d > 0
 
-    def _floors(self, walk: bool = True) -> np.ndarray | None:
+    def _floors(self) -> np.ndarray:
         """Each point's slack floor (`_slack_floors` of the image and
-        `_positive`), read-only and cached by the first call that walks;
-        None before it when not walk."""
-        if walk and "_floor_cache" not in self.__dict__:
+        `_positive`), read-only and cached by the first call."""
+        if "_floor_cache" not in self.__dict__:
             floors = _slack_floors(self._image[0], self._positive())
             floors.flags.writeable = False
             self.__dict__["_floor_cache"] = floors
-        return self.__dict__.get("_floor_cache")
+        return self.__dict__["_floor_cache"]
 
     def as_float(self) -> np.ndarray:
         """d in float64, computed once and read-only (d itself for a float
@@ -302,8 +301,10 @@ def _integer(value, name: str) -> int:
 
 
 def _ordering(n: int, ordering: Sequence[int] | None) -> list[int]:
-    """The identity order of n points, or ordering checked to permute them."""
-    ordering = list(range(n)) if ordering is None else list(ordering)
+    """The identity order of n points, or ordering as ints checked to
+    permute them; a non-integer entry is a TypeError."""
+    ordering = list(range(n)) if ordering is None \
+        else [operator.index(p) for p in ordering]
     if sorted(ordering) != list(range(n)):
         raise ValueError("ordering must be a permutation of all points")
     return ordering
@@ -444,17 +445,6 @@ def _indistinguishable(f: np.ndarray, tol: float, d: np.ndarray | None = None):
             yield int(i), int(j), float(gap)
 
 
-def _cones(in_past: np.ndarray, in_fut: np.ndarray):
-    """Every j's past {i : in_past(i,j)} and future {k : in_fut(j,k)}: the
-    flat lists past and fut, sliced per j by the offsets p_at and f_at
-    (past[p_at[j]:p_at[j + 1]]), from one np.flatnonzero per side."""
-    n = max(len(in_fut), 1)
-    past, fut = np.flatnonzero(in_past.T) % n, np.flatnonzero(in_fut) % n
-    p_at = np.cumsum(np.count_nonzero(in_past, axis=0)).tolist()
-    f_at = np.cumsum(np.count_nonzero(in_fut, axis=1)).tolist()
-    return past, [0] + p_at, fut, [0] + f_at
-
-
 def _cone_slacks(f: np.ndarray, pos: np.ndarray,
                  only: Iterable[int] | None = None):
     """For each j (of only, if given) whose past ii = {i : pos(i,j)} and
@@ -464,7 +454,12 @@ def _cone_slacks(f: np.ndarray, pos: np.ndarray,
     in a loop."""
     n = len(f)
     only = range(n) if only is None else [int(j) for j in only]
-    past, p_at, fut, f_at = _cones(pos, pos)
+    # every j's past and future as flat lists, one np.flatnonzero per side,
+    # sliced per j by offsets: past[p_at[j]:p_at[j + 1]]
+    m = max(n, 1)
+    past, fut = np.flatnonzero(pos.T) % m, np.flatnonzero(pos) % m
+    p_at = [0] + np.cumsum(np.count_nonzero(pos, axis=0)).tolist()
+    f_at = [0] + np.cumsum(np.count_nonzero(pos, axis=1)).tolist()
     # entries below 2**1023 in magnitude differ without inf - inf or overflow
     quiet = (contextlib.nullcontext if (np.abs(f) < 2.0**1023).all()
              else lambda: np.errstate(invalid="ignore", over="ignore"))
@@ -523,11 +518,11 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
     once, for j's slack floor: the least float slack (f_ik - f_ij) - f_jk
     over that block (-inf if the block holds a NaN or +-inf, +inf if it is
     empty).  Only a block whose floor is below the threshold is gathered
-    again for its defects.  On a Causet the floors are cached, shared with
-    `reverse_triangle_slack` and read by `causal_relation`.  The
-    distinguishing pass measures in full only the pairs within tol on a
-    first block of coordinates.  The report is that of the full O(n^3)
-    comparisons.
+    again for its defects.  The floors are cached on the causet (a matrix
+    is first wrapped by `Causet.from_matrix`) and shared with
+    `reverse_triangle_slack` and `causal_relation`.  The distinguishing
+    pass measures in full only the pairs within tol on a first block of
+    coordinates.  The report is that of the full O(n^3) comparisons.
     Fraction payloads are exact: float64 filter, exact refinement, each
     flagged defect decided exactly.  Their signs (negative entries,
     diagonal, light cones, zero rows) are read from the float image
@@ -536,9 +531,8 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
     rounded, also where the float sum of three finite entries overflows.
     """
     _check_tol(tol)
-    d = c.d if isinstance(c, Causet) else _as_matrix(c)
-    f, err, sign = c._image[:3] if isinstance(c, Causet) \
-        else _signed_image(d)
+    c = c if isinstance(c, Causet) else Causet.from_matrix(c)
+    d, (f, err, sign) = c.d, c._image[:3]
     exact = d.dtype == object
     # Fraction payloads: signs from the sign pattern, exact decisions
     s, tol = (sign, 0) if exact else (d, tol)
@@ -557,11 +551,8 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
         # (u = 2**-53), the image by 3 u M; E = 32 u M + 2**-1060 and
         # 4 u |tol| cover them, with a sign that keeps inf - inf out.
         thr = err - tol * (1 - np.copysign(4 * 2.0**-53, tol))
-        # only a block whose floor (cached on a causet) is below thr can
-        # hold a defect
-        floors = c._floors() if isinstance(c, Causet) \
-            else _slack_floors(f, s > 0)
-        bad = np.flatnonzero(~(floors >= thr))
+        # only a block whose floor is below thr can hold a defect
+        bad = np.flatnonzero(~(c._floors() >= thr))
         for j, ii, kk, slack in _cone_slacks(f, s > 0, bad) if len(bad) \
                 else ():
             for p, q in zip(*np.nonzero((slack < thr)
@@ -586,19 +577,17 @@ def validate(c: Causet | np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepo
     return ValidationReport(not out, tuple(out))
 
 
-def _min_slack(d: np.ndarray, pos: np.ndarray, f: np.ndarray | None = None,
-               err: float = 0.0, floors: np.ndarray | None = None
-               ) -> float | Fraction:
+def _min_slack(d: np.ndarray, pos: np.ndarray, f: np.ndarray, err: float,
+               floors: np.ndarray | None = None) -> float | Fraction:
     """Minimum of d(i,k) - d(i,j) - d(j,k) over pos(i,j), pos(j,k); +inf if
     no triple applies.  Computes exactly only the slacks whose float value
-    (d_ik - d_ij) - d_jk, on the float image f (d itself by default) with
-    bound err, is within 2 err of the least one, or not finite.
+    (d_ik - d_ij) - d_jk, on the float image f with bound err, is within
+    2 err of the least one, or not finite.
 
     The least finite floor (`_slack_floors` of f and pos, unless given)
     sets that threshold; only the blocks whose floor is within it or -inf
     are walked again, one at a time, so memory stays O(n^2).
     """
-    f = d if f is None else f
     floors = _slack_floors(f, pos) if floors is None else floors
     thr = floors[np.isfinite(floors)].min(initial=np.inf) + 2 * err
     best = None
@@ -619,7 +608,7 @@ def reverse_triangle_slack(c: Causet) -> float | Fraction:
     returns +inf when no triple applies.  Rational payloads are exact:
     float64 filter, exact refinement; float ones go through as_float.
     The filter is the causet's cached slack floors (see validate), filled
-    here by one cone walk if no walk has run; only the points whose floor
+    here by one cone walk if no call has yet; only the points whose floor
     is -inf or within 2 E of the least one get their blocks walked again.
     """
     f, err = c._image[:2] if c.is_rational else (c.as_float(), 0.0)

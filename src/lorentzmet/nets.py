@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _PUBLIC
-from .causet import (Causet, _magnitude, _min_slack, _signed_image, _sup_gaps,
-                     diameter, distance_quotient, induced, validate)
+from .causet import (Causet, _check_tol, _magnitude, _min_slack, _signed_image,
+                     _sup_gaps, diameter, distance_quotient, induced, validate)
 from .distinction import GammaMatrix, _gamma_of, gamma
 
 __all__ = list(_PUBLIC["nets"])
@@ -242,8 +242,8 @@ def rationalize(c: Causet, eps: float) -> Causet:
     Fraction one); a Fraction is built only for an output entry.  A float
     payload must pass as_float; chronological cycles raise ValueError.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:  # NaN compares False
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     n = c.n
     x, q = _numerators(c)  # d = x / q, exactly
     pos = c._positive()  # a float and its Fraction share their sign
@@ -303,8 +303,12 @@ def limit_causet(seq: Sequence[Causet], tol: float = 0.05) -> Causet:
     estimated by a least-squares fit of a + b/m over the tail positions,
     which is exact for sequences converging at first order, and points
     whose limit profiles coincide within tol are identified, repeatedly,
-    until no two representatives do.
+    until no two representatives do.  A NaN or negative tol raises
+    ValueError.
     """
+    _check_tol(tol)
+    if tol < 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     if not seq:
         raise ValueError("limit of an empty sequence")
     labels = seq[0].labels

@@ -123,6 +123,23 @@ def test_every_public_tol_refuses_nan():
             "causal_relation", "validate"} <= set(checked)
 
 
+def test_every_public_eps_refuses_nan_and_inf():
+    # rationalize let both through to Fraction, which raised an unrelated
+    # ValueError for NaN and an OverflowError for inf
+    c = lorentzmet.Causet.from_matrix([[0, 1, 3], [0, 0, 1], [0, 0, 0]])
+    checked = []
+    for name in lorentzmet.__all__:
+        fn = getattr(lorentzmet, name)
+        if not (inspect.isfunction(fn)
+                and "eps" in inspect.signature(fn).parameters):
+            continue
+        for eps in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="eps must be finite"):
+                fn(c, eps=eps)
+        checked.append(name)
+    assert {"extract_net", "rationalize"} <= set(checked)
+
+
 SCIPY_FREE = textwrap.dedent("""
     import sys
     from lorentzmet import *

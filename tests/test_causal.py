@@ -17,6 +17,7 @@ from lorentzmet import (
     time_function,
     validate,
 )
+import lorentzmet.causet as causet_module
 from lorentzmet.causal import Chain
 from lorentzmet.diamond import (DiamondSpace, SampleSpec, causet_from_points,
                                  diamond_distance, sample_causet)
@@ -106,25 +107,27 @@ def test_causal_relation_and_is_chain_match_full_comparison():
             assert got == brk if brk else isinstance(got, Chain)
 
 
-def test_causal_relation_same_with_and_without_cached_floors():
-    # J skips the block of a pivot whose cached floor is at least E; J
-    # itself never walks the cones.  Bit for bit the dense loop's J, on a
-    # fresh causet, after validate and after reverse_triangle_slack
+def test_causal_relation_same_with_and_without_cached_floors(monkeypatch):
+    # at tol >= 0 J fills the slack floors itself and puts in J the cone
+    # pairs of points whose floor is at least E and whose row and column
+    # hold no negative entry; at tol < 0 it leaves them unfilled.  Bit for
+    # bit the dense loop's J, on a fresh causet, after validate and after
+    # reverse_triangle_slack
     rng = np.random.default_rng(41)
     cases = [c.d for c in make_corpus(count=40)]
     cases += [tame(wild_matrix(rng, int(rng.integers(1, 12))))
               for _ in range(60)]
     cases += [sample_causet(DiamondSpace(), SampleSpec(count=n, seed=n)).d
               for n in (5, 12, 30, 80)]
-    cases.append(ADDITIVE3.d)  # floor 0, below E: its block is walked
+    cases.append(ADDITIVE3.d)  # floor 0, below E: its pairs are tested
     cases += [random_fraction_matrix(rng, int(rng.integers(1, 9)))
               for _ in range(40)]
     cases.append(underflow_payload())
-    skipped = 0
+    clean = 0
     for d in cases:
         labels = tuple(map(str, range(len(d))))
         image = Causet(labels, d)._image[0]
-        for tol in (-0.1, 0.0, 1e-9, 0.3):
+        for tol in (-np.inf, -0.1, 0.0, 1e-9, 0.3, np.inf):
             want = None
             if np.isfinite(image).all():
                 want = oracle_causal_relation(image, tol).tobytes()
@@ -141,20 +144,31 @@ def test_causal_relation_same_with_and_without_cached_floors():
                     continue
                 got = causal_relation(c, tol).matrix.tobytes()
                 assert got == want
-                floors = c._floors(walk=False)
                 if warm_up is None:
-                    assert floors is None
-                elif tol >= 0 and not (image < 0).any():
-                    skipped += int((floors >= c._image[1]).sum())
-    assert skipped > 0
+                    assert ("_floor_cache" in c.__dict__) == (tol >= 0)
+                elif tol >= 0:
+                    sign = (image >= 0).all(axis=0) & (image >= 0).all(axis=1)
+                    clean += int(((c._floors() >= c._image[1]) & sign).sum())
+    assert clean > 0
+
+    # one cone walk serves J, validate and the slack on a fresh causet
+    calls = []
+    walk = causet_module._slack_floors
+    monkeypatch.setattr(causet_module, "_slack_floors",
+                        lambda *a: calls.append(1) or walk(*a))
+    c = sample_causet(DiamondSpace(), SampleSpec(count=40, seed=3))
+    causal_relation(c)
+    validate(c)
+    reverse_triangle_slack(c)
+    assert len(calls) == 1
 
 
 def _planted_diamond(case: str) -> np.ndarray:
     """A diamond sample of 150-300 points as a matrix, with case's entries
-    planted: a negative entry (its row joins every past cone, its column
-    every future cone, so the two block sides cover different pairs),
-    nonzero diagonal entries, or spacelike entries raised to below 1e-12
-    (pairs that are spacelike at tol = 1e-9 then survive the filter)."""
+    planted: a negative entry or nonzero diagonal entries (which make
+    their points unclean, so that their pairs are tested directly), or
+    spacelike entries raised to below 1e-12 (pairs that are spacelike at
+    tol = 1e-9 then survive the filter)."""
     rng = np.random.default_rng(len(case))
     n = {"plain": 150, "negative-row": 200, "diagonal": 250,
          "perturbed": 300}[case]
@@ -173,7 +187,7 @@ def _planted_diamond(case: str) -> np.ndarray:
 @pytest.mark.parametrize("case", ["plain", "negative-row", "diagonal",
                                   "perturbed"])
 def test_causal_relation_and_is_chain_on_planted_diamonds(case):
-    # J's filter, cone blocks and direct tests against the dense per-point
+    # J's filter, clean cone pairs and direct tests against the dense per-point
     # loop at every tolerance; is_chain on random subsets (the first pair
     # outside J) and on random chains of J
     d = _planted_diamond(case)
@@ -225,6 +239,12 @@ def test_time_function_two_chain_values():
     assert tau.values[1] == 0.25
     with pytest.raises(ValueError, match="permutation"):
         time_function(CHAIN2, ordering=[0, 0])
+    # entries are read as indices: a float is refused, numpy ints are
+    # stored as ints
+    with pytest.raises(TypeError):
+        time_function(CHAIN2, ordering=[0.0, 1.0])
+    ordering = time_function(CHAIN2, ordering=np.array([1, 0])).ordering
+    assert ordering == (1, 0) and all(type(p) is int for p in ordering)
 
 
 def test_time_function_exact_on_rational_payload():

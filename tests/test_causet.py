@@ -517,9 +517,10 @@ def test_cached_floors_match_oracle():
     for d in _floor_inputs():
         c = _fresh(d)
         want = oracle_cone_floors(c._image[0], c._positive())
-        assert c._floors(walk=False) is None
+        assert "_floor_cache" not in c.__dict__
         validate(c)
-        got = c._floors(walk=False)
+        assert "_floor_cache" in c.__dict__
+        got = c._floors()
         assert got.tobytes() == want.tobytes()
         assert not got.flags.writeable
         with pytest.raises(ValueError):

@@ -527,6 +527,10 @@ def test_limit_rejects_bad_sequences():
     diverging = [_chain(1.0 + (-0.5) ** m) for m in range(1, 13)]
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         limit_causet(diverging, tol=0.01)
+    # a negative tol is refused by name, not as a spread of 0.0 above it
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        limit_causet([_chain(1.0)] * 3, tol=-1.0)
+    assert limit_causet([_chain(1.0)] * 3, tol=0.0).n == 2
 
 
 def test_limit_quotients_until_nothing_merges():
